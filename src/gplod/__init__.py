@@ -1,8 +1,9 @@
 """Ground states of the Gross-Pitaevskii equation in LOD spaces.
 
 The library builds two-level triangulations of rectangles, assembles P1
-finite-element operators, constructs localized-orthogonal-decomposition
-(LOD) trial spaces from corrector saddle problems, minimizes the
+finite-element operators, constructs ideal localized-orthogonal-decomposition
+(LOD) trial spaces from one SPD factorization and a Schur complement on the
+coarse space, minimizes the
 Gross-Pitaevskii energy on the unit L2 sphere with a normalized gradient
 flow, and runs convergence-rate studies against fine-mesh references.
 """

@@ -91,7 +91,7 @@ def _get(resolved, section, key, default=None, cast=str):
     try:
         raw = resolved[section][key]
     except KeyError:
-        if default is not None or key in ("localization_radius", "reference_tol_energy", "cache_dir"):
+        if default is not None:
             return default
         raise ConfigError(f"missing config key [{section}] {key}")
     if cast is bool:
@@ -144,7 +144,6 @@ def study_config_from(resolved, out_dir=None, use_cache=True, relative=None):
     """Build a StudyConfig from a resolved configuration dict."""
     H_text = _get(resolved, "study", "h_sequence")
     H_sequence = [float(tok) for tok in H_text.replace(",", " ").split()]
-    radius = resolved.get("study", {}).get("localization_radius", "").strip()
     cache_dir = resolved.get("study", {}).get("cache_dir", "").strip()
     if not cache_dir and out_dir is not None:
         cache_dir = str(Path(out_dir) / "correctors")
@@ -158,7 +157,6 @@ def study_config_from(resolved, out_dir=None, use_cache=True, relative=None):
         flow=_flow_from(resolved),
         baseline_coarse_fem=_get(resolved, "study", "baseline_coarse_fem", default=False, cast=bool),
         relative_errors=_get(resolved, "study", "relative_errors", default=True, cast=bool),
-        localization_radius=int(radius) if radius else None,
         cache_dir=cache_dir or None,
         use_cache=use_cache,
         saturation_check=_get(resolved, "study", "saturation_check", default=True, cast=bool),
@@ -224,13 +222,7 @@ def cmd_solve(args):
         fine_ops = assemble_operators(hierarchy.fine, potential)
         if space_kind == "lod":
             cache_dir = None if args.no_cache else out_dir / "correctors"
-            radius_text = resolved.get("solve", {}).get("localization_radius", "").strip()
-            lod, hit = lod_space_cached(
-                hierarchy,
-                fine_ops,
-                localization_radius=int(radius_text) if radius_text else None,
-                cache_dir=cache_dir,
-            )
+            lod, hit = lod_space_cached(hierarchy, fine_ops, cache_dir=cache_dir)
             cache["hits" if hit else "misses"] += 1
             space = lod_discrete_space(lod, fine_ops)
         else:
@@ -360,10 +352,7 @@ def cmd_correctors(args):
         hierarchy = build_hierarchy(cfg.domain, cfg.coarse_cells(H), cfg.refinements(H))
         t0 = time.perf_counter()
         space, hit = lod_space_cached(
-            hierarchy,
-            ops,
-            localization_radius=cfg.localization_radius,
-            cache_dir=cfg.cache_dir if cfg.use_cache else None,
+            hierarchy, ops, cache_dir=cfg.cache_dir if cfg.use_cache else None
         )
         wall = time.perf_counter() - t0
         hits += hit
@@ -404,7 +393,6 @@ def build_parser():
     def common(p):
         p.add_argument("--config", required=True, help="config file path or preset name")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="cap BLAS thread count")
         p.add_argument("--no-cache", action="store_true", help="disable the corrector cache")
         p.add_argument(
             "overrides",
@@ -434,13 +422,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None):
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(args.threads)
-        except ImportError:
-            print("warning: threadpoolctl unavailable, --threads ignored", file=sys.stderr)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -58,7 +58,6 @@ class StudyConfig:
     flow: FlowParams = field(default_factory=FlowParams)
     baseline_coarse_fem: bool = False
     relative_errors: bool = True
-    localization_radius: object = None
     cache_dir: object = None
     use_cache: bool = True
     saturation_check: bool = True
@@ -295,7 +294,6 @@ def run_study(config, log=None):
             space, hit = lod_space_cached(
                 hierarchy,
                 ops_fine,
-                localization_radius=config.localization_radius,
                 cache_dir=config.cache_dir if config.use_cache else None,
                 rebuild=not config.use_cache,
             )

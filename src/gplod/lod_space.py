@@ -1,23 +1,29 @@
 """LOD space construction: L2-projection constraint, correctors, basis.
 
-The fine-scale space is the kernel of the L2 projection onto the coarse P1
-space.  Each coarse hat function gets a corrector from a saddle problem
+The fine-scale space is the kernel of C, the L2 moments of fine interior
+hats against coarse interior hats.  The ideal LOD space is its
+a-orthogonal complement, spanned by the columns of Y = A^{-1} C^T, where A
+is the bilinear-form matrix (stiffness plus potential mass) on the fine
+interior dofs.  With the SPD Schur complement S = C Y and the coarse
+interior mass M_H, the basis
 
-    [A  C^T] [q ]   [A lam]
-    [C   0 ] [mu] = [  0  ]
+    B = Y S^{-1} M_H
 
-where A is the bilinear-form matrix (stiffness plus potential mass) on the
-fine interior dofs and the rows of C are the L2 moments against coarse hat
-functions.  The LOD basis function is lam - q.  In ideal (global) mode the
-saddle matrix is factored once and reused for every right-hand side; in
-localized mode each corrector is solved on a patch of coarse-element
-layers with zero Dirichlet truncation and extended by zero.
+satisfies C B = M_H = C P, so the L2 projection of basis function j is
+the j-th coarse hat, and the projected bilinear form has the closed form
+
+    A_lod = B^T A B = M_H S^{-1} M_H.
+
+A is factored once and reused for every column of C^T.
 """
 
 import hashlib
+import os
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy import linalg as dense_linalg
@@ -41,7 +47,7 @@ __all__ = [
 ]
 
 _RHS_CHUNK = 256
-_CACHE_FORMAT_VERSION = 1
+_CACHE_FORMAT_VERSION = 2
 
 
 class CacheMismatchError(RuntimeError):
@@ -57,7 +63,7 @@ class ConstraintOperator:
     """
 
     C: sparse.csr_matrix
-    coarse_mass: sparse.csr_matrix  # coarse interior mass, for identity checks
+    coarse_mass: sparse.csr_matrix  # coarse interior mass M_H = C P; fixes the basis scaling
 
 
 def build_constraint(hierarchy, M_full=None):
@@ -84,15 +90,14 @@ class LodSpace:
     ``basis`` column j holds the fine interior coefficients of the j-th LOD
     basis function; A_lod and M_lod are the Galerkin-projected bilinear-form
     and mass matrices B^T A B and B^T M B (dense, since ideal LOD basis
-    functions have global support).  ``timings`` records the saddle
-    factorization and corrector solve seconds when freshly computed.
+    functions have global support).  ``timings`` records the factorization
+    and corrector solve seconds when freshly computed.
     """
 
     hierarchy: object
     basis: np.ndarray
     A_lod: np.ndarray
     M_lod: np.ndarray
-    localization_radius: object  # None for the ideal (global) method
     potential_descriptor: str
     timings: dict = field(default_factory=dict, repr=False)
     _chol_A: object = field(default=None, repr=False)
@@ -113,141 +118,44 @@ class LodSpace:
         return dense_linalg.cho_solve(self._chol_M, rhs)
 
 
-def _galerkin(B, A):
-    """Symmetrized dense triple product B^T A B."""
-    AB = A @ B
-    G = B.T @ AB
+def _symmetrize(G):
+    """Exactly symmetric part of a square dense matrix."""
     return 0.5 * (G + G.T)
 
 
-def compute_correctors(hierarchy, ops_fine, constraint, localization_radius=None):
-    """Solve the corrector saddle problems and assemble the LOD space.
+def compute_correctors(hierarchy, ops_fine, constraint):
+    """Compute the ideal LOD basis and its projected operators.
 
     ``ops_fine`` must be assembled with the potential that defines the
-    bilinear form.  With ``localization_radius=None`` the global saddle
-    matrix is factored once and reused for all coarse basis functions;
-    with an integer radius each corrector is computed on its patch.
+    bilinear form.  A is factored once; Y = A^{-1} C^T is solved in column
+    chunks, then B = Y S^{-1} M_H with S = C Y (see the module docstring).
     """
-    A = ops_fine.A.tocsr()
+    A = ops_fine.A
     C = constraint.C
-    P_int = hierarchy.prolongation_interior().tocsc()
     n = A.shape[0]
     m = C.shape[0]
-    if P_int.shape != (n, m):
+    if C.shape[1] != n or (hierarchy.fine.n_interior, hierarchy.coarse.n_interior) != (n, m):
         raise ValueError("hierarchy and operators disagree on dof counts")
 
     timings = {}
-    if localization_radius is None:
-        B = _solve_ideal(A, C, P_int, n, m, timings)
-    else:
-        radius = int(localization_radius)
-        if radius < 1:
-            raise ValueError(f"localization radius must be >= 1, got {localization_radius}")
-        B = _solve_localized(hierarchy, A, C, P_int, n, m, radius, timings)
-
-    A_lod = _galerkin(B, A)
-    M_lod = _galerkin(B, ops_fine.M)
-    return LodSpace(
-        hierarchy,
-        B,
-        A_lod,
-        M_lod,
-        localization_radius,
-        ops_fine.potential.descriptor(),
-        timings,
-    )
-
-
-def _solve_ideal(A, C, P_int, n, m, timings):
     t0 = time.perf_counter()
-    saddle = sparse.bmat([[A, C.T], [C, None]], format="csc")
-    fac = factor_symmetric(saddle)
+    fac = factor_symmetric(A)
     timings["factor_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    B = np.empty((n, m))
+    Ct = C.T.tocsc()
+    Y = np.empty((n, m))
     for lo in range(0, m, _RHS_CHUNK):
         hi = min(lo + _RHS_CHUNK, m)
-        lam = np.asarray(P_int[:, lo:hi].todense())
-        rhs = np.zeros((n + m, hi - lo))
-        rhs[:n] = A @ lam
-        sol = fac.solve(rhs)
-        B[:, lo:hi] = lam - sol[:n]
+        Y[:, lo:hi] = fac.solve(Ct[:, lo:hi].toarray())
+    S_chol = dense_linalg.cho_factor(_symmetrize(C @ Y))
+    W = dense_linalg.cho_solve(S_chol, constraint.coarse_mass.toarray())  # S^{-1} M_H
+    B = Y @ W
+    del Y  # free one dense n x m array before M @ B allocates another
+    A_lod = _symmetrize(constraint.coarse_mass @ W)
     timings["solve_s"] = time.perf_counter() - t0
-    return B
 
-
-def _coarse_element_adjacency(coarse):
-    """Element-to-element adjacency through shared nodes (sparse bool)."""
-    t = coarse.n_triangles
-    rows = np.repeat(np.arange(t), 3)
-    cols = coarse.triangles.ravel()
-    incidence = sparse.csr_matrix(
-        (np.ones(rows.size, dtype=bool), (rows, cols)),
-        shape=(t, coarse.n_nodes),
-    )
-    return (incidence @ incidence.T).astype(bool)
-
-
-def _solve_localized(hierarchy, A, C, P_int, n, m, radius, timings=None):
-    if timings is None:
-        timings = {}
-    t_start = time.perf_counter()
-    coarse = hierarchy.coarse
-    fine = hierarchy.fine
-    ci = coarse.interior_nodes()
-    fi = fine.interior_nodes()
-    fine_int_index = -np.ones(fine.n_nodes, dtype=np.int64)
-    fine_int_index[fi] = np.arange(fi.size)
-
-    adjacency = _coarse_element_adjacency(coarse)
-    tri_of_node = sparse.csr_matrix(
-        (
-            np.ones(3 * coarse.n_triangles, dtype=bool),
-            (coarse.triangles.ravel(), np.repeat(np.arange(coarse.n_triangles), 3)),
-        ),
-        shape=(coarse.n_nodes, coarse.n_triangles),
-    )
-    fine_parent = hierarchy.fine_tri_to_coarse()
-    # incident fine triangles per fine node, for the Dirichlet truncation test
-    fnode_tris = sparse.csr_matrix(
-        (
-            np.ones(3 * fine.n_triangles, dtype=bool),
-            (fine.triangles.ravel(), np.repeat(np.arange(fine.n_triangles), 3)),
-        ),
-        shape=(fine.n_nodes, fine.n_triangles),
-    )
-
-    Ccsc = C.tocsc()
-    incident_all = np.asarray(fnode_tris.sum(axis=1)).ravel()
-    B = np.empty((n, m))
-    for j in range(m):
-        node = ci[j]
-        patch = tri_of_node[node].toarray().ravel()
-        for _ in range(radius):
-            patch = patch | np.asarray(adjacency[patch].sum(axis=0)).ravel().astype(bool)
-        tri_ok = patch[fine_parent]
-        # free dofs: interior fine nodes strictly inside the patch
-        incident_in = np.asarray(fnode_tris[:, tri_ok].sum(axis=1)).ravel()
-        free_nodes = (incident_all == incident_in) & ~fine.boundary_mask
-        free = fine_int_index[free_nodes & (fine_int_index >= 0)]
-        lam = np.asarray(P_int[:, j].todense()).ravel()
-        if free.size == 0:
-            B[:, j] = lam
-            continue
-        C_loc = Ccsc[:, free]
-        keep_rows = np.flatnonzero(np.diff(C_loc.tocsr().indptr) > 0)
-        C_loc = C_loc.tocsr()[keep_rows]
-        A_loc = A[free][:, free]
-        saddle = sparse.bmat([[A_loc, C_loc.T], [C_loc, None]], format="csc")
-        rhs = np.zeros(saddle.shape[0])
-        rhs[: free.size] = (A @ lam)[free]
-        sol = factor_symmetric(saddle).solve(rhs)
-        q = np.zeros(n)
-        q[free] = sol[: free.size]
-        B[:, j] = lam - q
-    timings["factor_s"] = 0.0  # per-patch factorizations folded into solve_s
-    timings["solve_s"] = time.perf_counter() - t_start
-    return B
+    M_lod = _symmetrize(B.T @ (ops_fine.M @ B))
+    return LodSpace(hierarchy, B, A_lod, M_lod, ops_fine.potential.descriptor(), timings)
 
 
 def plod_project(space, ops_fine, v_fine):
@@ -275,9 +183,8 @@ def prolong(space, c):
     return space.basis @ c
 
 
-def cache_key(domain, coarse_cells, refinements, potential_descriptor, localization_radius):
+def cache_key(domain, coarse_cells, refinements, potential_descriptor):
     """Stable hash identifying one corrector configuration."""
-    radius = -1 if localization_radius is None else int(localization_radius)
     text = "|".join(
         [
             f"v{_CACHE_FORMAT_VERSION}",
@@ -285,35 +192,43 @@ def cache_key(domain, coarse_cells, refinements, potential_descriptor, localizat
             str(int(coarse_cells)),
             str(int(refinements)),
             potential_descriptor,
-            str(radius),
         ]
     )
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def save_basis(space, path):
-    """Persist the basis and projected operators with a validating header."""
+    """Persist the basis and projected operators with a validating header.
+
+    The file is written under a temporary name in the same directory and
+    renamed onto ``path``, so a reader never sees a partial file and a
+    failed write leaves any previous file in place.
+    """
+    path = Path(path)
     h = space.hierarchy
-    radius = -1 if space.localization_radius is None else int(space.localization_radius)
-    np.savez(
-        path,
-        format_version=np.int64(_CACHE_FORMAT_VERSION),
-        domain=np.array(
-            [h.coarse.domain.xmin, h.coarse.domain.xmax, h.coarse.domain.ymin, h.coarse.domain.ymax]
-        ),
-        coarse_cells=np.int64(h.coarse.cells_per_side),
-        refinements=np.int64(h.refinements),
-        potential=np.array(space.potential_descriptor),
-        localization_radius=np.int64(radius),
-        basis=space.basis,
-        A_lod=space.A_lod,
-        M_lod=space.M_lod,
-    )
+    dom = h.coarse.domain
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".npz")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(
+                fh,
+                format_version=np.int64(_CACHE_FORMAT_VERSION),
+                domain=np.array([dom.xmin, dom.xmax, dom.ymin, dom.ymax]),
+                coarse_cells=np.int64(h.coarse.cells_per_side),
+                refinements=np.int64(h.refinements),
+                potential=np.array(space.potential_descriptor),
+                basis=space.basis,
+                A_lod=space.A_lod,
+                M_lod=space.M_lod,
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def load_basis(path, hierarchy, potential_descriptor, localization_radius=None):
+def load_basis(path, hierarchy, potential_descriptor):
     """Load a cached LodSpace, validating the header before reuse."""
-    radius = -1 if localization_radius is None else int(localization_radius)
     try:
         with np.load(path) as data:
             if int(data["format_version"]) != _CACHE_FORMAT_VERSION:
@@ -325,7 +240,6 @@ def load_basis(path, hierarchy, potential_descriptor, localization_radius=None):
                 or int(data["coarse_cells"]) != hierarchy.coarse.cells_per_side
                 or int(data["refinements"]) != hierarchy.refinements
                 or str(data["potential"]) != potential_descriptor
-                or int(data["localization_radius"]) != radius
             ):
                 raise CacheMismatchError("cache header does not match the configuration")
             basis = data["basis"]
@@ -339,35 +253,34 @@ def load_basis(path, hierarchy, potential_descriptor, localization_radius=None):
     n_ci = hierarchy.coarse.n_interior
     if basis.shape != (n_fi, n_ci):
         raise CacheMismatchError(f"cached basis shape {basis.shape} != {(n_fi, n_ci)}")
-    return LodSpace(hierarchy, basis, A_lod, M_lod, localization_radius, potential_descriptor)
+    return LodSpace(hierarchy, basis, A_lod, M_lod, potential_descriptor)
 
 
-def lod_space_cached(hierarchy, ops_fine, localization_radius=None, cache_dir=None, rebuild=False):
+def lod_space_cached(hierarchy, ops_fine, cache_dir=None, rebuild=False):
     """Build the LOD space, reusing a disk cache when available.
 
     Returns (space, cache_hit).  A corrupted or mismatched cache file is
-    ignored and overwritten.
+    ignored and overwritten.  A callable potential is never cached: its
+    descriptor names the function, not its values, so two different
+    functions could share a key.
     """
     descriptor = ops_fine.potential.descriptor()
     path = None
-    if cache_dir is not None:
-        from pathlib import Path
-
+    if cache_dir is not None and ops_fine.potential.kind != "callable":
         key = cache_key(
             hierarchy.coarse.domain,
             hierarchy.coarse.cells_per_side,
             hierarchy.refinements,
             descriptor,
-            localization_radius,
         )
         path = Path(cache_dir) / f"correctors_{key}.npz"
         if path.exists() and not rebuild:
             try:
-                return load_basis(path, hierarchy, descriptor, localization_radius), True
+                return load_basis(path, hierarchy, descriptor), True
             except CacheMismatchError as exc:
                 warnings.warn(f"rebuilding correctors, cache at {path} unusable: {exc}")
     constraint = build_constraint(hierarchy, ops_fine.M_full)
-    space = compute_correctors(hierarchy, ops_fine, constraint, localization_radius)
+    space = compute_correctors(hierarchy, ops_fine, constraint)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_basis(space, path)

@@ -1,9 +1,8 @@
-"""Sparse storage, direct factorization, and CG used by assembly and solvers.
+"""Sparse storage and the direct factorization used by assembly and solvers.
 
 Matrices are scipy CSR; the direct factorization wraps SuperLU (fill-reducing
-COLAMD ordering, partial pivoting), which handles the symmetric indefinite
-saddle blocks of the corrector problems and is reused across many right-hand
-sides.
+COLAMD ordering, partial pivoting), which handles SPD and symmetric
+indefinite matrices alike and is reused across many right-hand sides.
 """
 
 import numpy as np
@@ -12,12 +11,9 @@ from scipy.sparse import linalg as sparse_linalg
 
 __all__ = [
     "SingularMatrixError",
-    "ConvergenceError",
     "assemble_from_triplets",
-    "spmv",
     "Factorization",
     "factor_symmetric",
-    "conjugate_gradient",
 ]
 
 # relative zero-pivot threshold for declaring a factorization singular
@@ -26,15 +22,6 @@ _PIVOT_RTOL = 1e-14
 
 class SingularMatrixError(ArithmeticError):
     """Factorization hit a (near-)zero pivot."""
-
-
-class ConvergenceError(ArithmeticError):
-    """Iterative solver did not reach the requested tolerance."""
-
-    def __init__(self, message, residual, iterations):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 def assemble_from_triplets(nrows, ncols, rows, cols=None, values=None):
@@ -61,14 +48,6 @@ def assemble_from_triplets(nrows, ncols, rows, cols=None, values=None):
     A.sum_duplicates()
     A.sort_indices()
     return A
-
-
-def spmv(A, x):
-    """Sparse matrix-vector product with an explicit dimension check."""
-    x = np.asarray(x)
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} @ {x.shape}")
-    return A @ x
 
 
 class Factorization:
@@ -110,41 +89,3 @@ def factor_symmetric(A):
     """Factor a structurally symmetric (possibly indefinite) sparse matrix."""
     return Factorization(A)
 
-
-def conjugate_gradient(A, b, tol=1e-10, max_iter=None):
-    """Conjugate gradients for SPD A to relative residual ``tol``.
-
-    Raises ConvergenceError (carrying the final residual) if max_iter is
-    exhausted first.
-    """
-    b = np.asarray(b, dtype=float)
-    if A.shape[0] != A.shape[1] or A.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} vs rhs {b.shape}")
-    n = b.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n)
-    x = np.zeros(n)
-    r = b.copy()
-    p = r.copy()
-    rho = r @ r
-    for k in range(max_iter):
-        if np.sqrt(rho) <= tol * bnorm:
-            return x
-        Ap = A @ p
-        alpha = rho / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rho_new = r @ r
-        p = r + (rho_new / rho) * p
-        rho = rho_new
-    residual = np.linalg.norm(b - A @ x) / bnorm
-    if residual <= tol:
-        return x
-    raise ConvergenceError(
-        f"CG stalled at relative residual {residual:.3e} after {max_iter} iterations",
-        residual=residual,
-        iterations=max_iter,
-    )

@@ -1,6 +1,7 @@
 """Shared test utilities: oracles and small study drivers."""
 
 import numpy as np
+from scipy import sparse
 
 from gplod.convergence_study import fit_rate
 from gplod.fem_core import (
@@ -24,6 +25,43 @@ def canonical_triangles(triangles):
         out[sel] = np.roll(t[sel], -k, axis=1)
     order = np.lexsort((out[:, 2], out[:, 1], out[:, 0]))
     return out[order]
+
+
+def saddle_correctors(hierarchy, ops, constraint):
+    """Reference LOD basis and projected operators from the saddle problems.
+
+    Basis function j is lam - q, where lam is the prolonged j-th coarse hat
+    and (q, mu) solves
+
+        [A  C^T] [q ]   [A lam]
+        [C   0 ] [mu] = [  0  ]
+
+    with one factorization of the indefinite saddle matrix.  Returns B and
+    the symmetrized triple products B^T A B and B^T M B.
+    """
+    A = ops.A
+    C = constraint.C
+    lam = hierarchy.prolongation_interior().toarray()
+    n = A.shape[0]
+    saddle = factor_symmetric(sparse.bmat([[A, C.T], [C, None]], format="csc"))
+    rhs = np.zeros((n + C.shape[0], lam.shape[1]))
+    rhs[:n] = A @ lam
+    B = lam - saddle.solve(rhs)[:n]
+    A_lod = B.T @ (A @ B)
+    M_lod = B.T @ (ops.M @ B)
+    return B, 0.5 * (A_lod + A_lod.T), 0.5 * (M_lod + M_lod.T)
+
+
+def coarse_element_adjacency(coarse):
+    """Element-to-element adjacency through shared nodes (sparse bool)."""
+    t = coarse.n_triangles
+    rows = np.repeat(np.arange(t), 3)
+    cols = coarse.triangles.ravel()
+    incidence = sparse.csr_matrix(
+        (np.ones(rows.size, dtype=bool), (rows, cols)),
+        shape=(t, coarse.n_nodes),
+    )
+    return (incidence @ incidence.T).astype(bool)
 
 
 def constrained_random(constraint, rng, size=1):

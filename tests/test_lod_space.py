@@ -12,11 +12,15 @@ from gplod.lod_space import (
     plod_project,
     prolong,
     save_basis,
-    _coarse_element_adjacency,
 )
 from gplod.mesh import Rect, build_hierarchy, same_mesh_hierarchy, uniform_mesh
 
-from helpers import constrained_random, projection_rate_study
+from helpers import (
+    coarse_element_adjacency,
+    constrained_random,
+    projection_rate_study,
+    saddle_correctors,
+)
 
 
 def test_constraint_shape(small_hierarchy, small_constraint):
@@ -110,22 +114,21 @@ def test_correctors_vanish_when_fine_scale_trivial(unit_domain):
     assert np.abs(space.basis - np.eye(mesh.n_interior)).max() <= 1e-9
 
 
-def test_localized_full_patch_equals_ideal(small_hierarchy, small_ops, small_constraint, small_lod):
-    space = compute_correctors(
-        small_hierarchy, small_ops, small_constraint, localization_radius=10
-    )
-    assert np.abs(space.basis - small_lod.basis).max() <= 1e-9
-
-
-def test_localized_small_patch_feasible(small_hierarchy, small_ops, small_constraint):
-    space = compute_correctors(
-        small_hierarchy, small_ops, small_constraint, localization_radius=1
-    )
-    C = small_constraint.C
-    P = small_hierarchy.prolongation_interior()
-    assert np.abs(C @ space.basis - C @ P.toarray()).max() <= 1e-9
-    with pytest.raises(ValueError):
-        compute_correctors(small_hierarchy, small_ops, small_constraint, localization_radius=0)
+@pytest.mark.parametrize("case", ["small", "harmonic"])
+def test_schur_matches_saddle_reference(
+    case, small_hierarchy, small_ops, small_constraint, trap_domain
+):
+    # the Schur-form basis and operators against the corrector saddle solves
+    if case == "small":
+        hierarchy, ops, constraint = small_hierarchy, small_ops, small_constraint
+    else:
+        hierarchy = build_hierarchy(trap_domain, 12, 2)
+        ops = assemble_operators(hierarchy.fine, Potential.harmonic())
+        constraint = build_constraint(hierarchy, ops.M_full)
+    space = compute_correctors(hierarchy, ops, constraint)
+    reference = saddle_correctors(hierarchy, ops, constraint)
+    for got, ref in zip((space.basis, space.A_lod, space.M_lod), reference):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_exponential_decay(unit_domain):
@@ -141,7 +144,7 @@ def test_exponential_decay(unit_domain):
     b = space.basis[:, center]
     A = ops.A
 
-    adjacency = _coarse_element_adjacency(coarse)
+    adjacency = coarse_element_adjacency(coarse)
     node = ci[center]
     patch = np.zeros(coarse.n_triangles, dtype=bool)
     patch[np.flatnonzero((coarse.triangles == node).any(axis=1))] = True
@@ -217,8 +220,6 @@ def test_cache_header_mismatch(tmp_path, small_lod, small_hierarchy):
     save_basis(small_lod, path)
     with pytest.raises(CacheMismatchError):
         load_basis(path, small_hierarchy, "constant(2.0)")
-    with pytest.raises(CacheMismatchError):
-        load_basis(path, small_hierarchy, small_lod.potential_descriptor, localization_radius=3)
 
 
 def test_cache_corrupted_file(tmp_path, small_lod, small_hierarchy):
@@ -235,6 +236,70 @@ def test_lod_space_cached(tmp_path, small_hierarchy, small_ops):
     assert not hit1 and hit2
     assert np.array_equal(space1.basis, space2.basis)
     # potential change invalidates the key
-    key_a = cache_key(Rect(0, 1, 0, 1), 4, 2, "harmonic", None)
-    key_b = cache_key(Rect(0, 1, 0, 1), 4, 2, "constant(1.0)", None)
+    key_a = cache_key(Rect(0, 1, 0, 1), 4, 2, "harmonic")
+    key_b = cache_key(Rect(0, 1, 0, 1), 4, 2, "constant(1.0)")
     assert key_a != key_b
+
+
+def test_cache_distinct_callables(tmp_path, small_hierarchy):
+    # two lambdas share the descriptor "callable(<lambda>)"; each needs its own basis
+    bases = []
+    for potential in (
+        Potential.from_callable(lambda x, y: 1.0 + 0.0 * x),
+        Potential.from_callable(lambda x, y: 50.0 * (x * x + y * y)),
+    ):
+        ops = assemble_operators(small_hierarchy.fine, potential)
+        space, hit = lod_space_cached(small_hierarchy, ops, cache_dir=tmp_path)
+        constraint = build_constraint(small_hierarchy, ops.M_full)
+        fresh = compute_correctors(small_hierarchy, ops, constraint)
+        assert not hit
+        assert np.abs(space.basis - fresh.basis).max() <= 1e-12
+        bases.append(space.basis)
+    assert np.abs(bases[0] - bases[1]).max() > 1e-3
+
+
+def test_cache_old_format_rebuilt(tmp_path, small_hierarchy, small_ops, small_lod):
+    # a format-1 file (with its localization_radius header field) is never loaded
+    space, _ = lod_space_cached(small_hierarchy, small_ops, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("correctors_*.npz")
+    dom = small_hierarchy.coarse.domain
+    np.savez(
+        path,
+        format_version=np.int64(1),
+        domain=np.array([dom.xmin, dom.xmax, dom.ymin, dom.ymax]),
+        coarse_cells=np.int64(small_hierarchy.coarse.cells_per_side),
+        refinements=np.int64(small_hierarchy.refinements),
+        potential=np.array(small_lod.potential_descriptor),
+        localization_radius=np.int64(-1),
+        basis=np.zeros_like(space.basis),
+        A_lod=space.A_lod,
+        M_lod=space.M_lod,
+    )
+    with pytest.raises(CacheMismatchError):
+        load_basis(path, small_hierarchy, small_lod.potential_descriptor)
+    with pytest.warns(UserWarning, match="rebuilding correctors"):
+        rebuilt, hit = lod_space_cached(small_hierarchy, small_ops, cache_dir=tmp_path)
+    assert not hit
+    assert np.array_equal(rebuilt.basis, space.basis)
+    reloaded = load_basis(path, small_hierarchy, small_lod.potential_descriptor)
+    assert np.array_equal(reloaded.basis, space.basis)
+
+
+def test_cache_failed_save_keeps_previous_file(tmp_path, small_lod, small_hierarchy, monkeypatch):
+    path = tmp_path / "basis.npz"
+    save_basis(small_lod, path)
+
+    def failing_savez(file, **arrays):
+        # write the start of an archive, then fail as a full disk would
+        if not hasattr(file, "write"):
+            file = open(file, "wb")
+        file.write(b"PK\x03\x04partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError):
+        save_basis(small_lod, path)
+    monkeypatch.undo()
+    loaded = load_basis(path, small_hierarchy, small_lod.potential_descriptor)
+    assert np.array_equal(loaded.basis, small_lod.basis)
+    assert [p.name for p in tmp_path.iterdir()] == ["basis.npz"]

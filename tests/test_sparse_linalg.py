@@ -5,12 +5,9 @@ from scipy import sparse
 from gplod.fem_core import Potential, assemble_operators
 from gplod.mesh import uniform_mesh
 from gplod.sparse_linalg import (
-    ConvergenceError,
     SingularMatrixError,
     assemble_from_triplets,
-    conjugate_gradient,
     factor_symmetric,
-    spmv,
 )
 
 
@@ -46,23 +43,6 @@ def test_triplets_out_of_range():
         assemble_from_triplets(2, 2, [(2, 0, 1.0)])
     with pytest.raises(IndexError):
         assemble_from_triplets(2, 2, [(0, -1, 1.0)])
-
-
-def test_spmv_identity_and_zero(rng):
-    x = rng.standard_normal(5)
-    assert np.array_equal(spmv(sparse.eye(5, format="csr"), x), x)
-    assert np.array_equal(spmv(sparse.csr_matrix((5, 5)), x), np.zeros(5))
-
-
-def test_spmv_matches_dense(rng):
-    A = sparse.random(5, 5, density=0.6, random_state=42, format="csr")
-    x = rng.standard_normal(5)
-    assert np.abs(spmv(A, x) - A.toarray() @ x).max() <= 1e-14
-
-
-def test_spmv_dimension_mismatch(rng):
-    with pytest.raises(ValueError):
-        spmv(sparse.eye(5, format="csr"), rng.standard_normal(4))
 
 
 def test_factor_diagonal():
@@ -115,38 +95,6 @@ def test_factor_detects_singular():
 def test_factor_rejects_nonsquare():
     with pytest.raises(ValueError):
         factor_symmetric(sparse.eye(3, 4, format="csr"))
-
-
-def test_cg_identity_one_iteration(rng):
-    b = rng.standard_normal(6)
-    x = conjugate_gradient(sparse.eye(6, format="csr"), b, tol=1e-12, max_iter=1)
-    assert np.abs(x - b).max() <= 1e-12
-
-
-def test_cg_zero_rhs():
-    x = conjugate_gradient(sparse.eye(4, format="csr"), np.zeros(4))
-    assert np.array_equal(x, np.zeros(4))
-
-
-def test_cg_matches_direct_solve(unit_domain, rng):
-    # 2D Laplacian stiffness: CG against the sparse direct factorization
-    mesh = uniform_mesh(unit_domain, 16)
-    ops = assemble_operators(mesh, Potential.constant(0.0))
-    K = ops.K
-    b = rng.standard_normal(K.shape[0])
-    x_cg = conjugate_gradient(K, b, tol=1e-12)
-    x_lu = factor_symmetric(K.tocsc()).solve(b)
-    assert np.linalg.norm(x_cg - x_lu) <= 1e-8 * np.linalg.norm(x_lu)
-
-
-def test_cg_nonconvergence_reports_residual(unit_domain, rng):
-    mesh = uniform_mesh(unit_domain, 16)
-    ops = assemble_operators(mesh, Potential.constant(0.0))
-    b = rng.standard_normal(ops.K.shape[0])
-    with pytest.raises(ConvergenceError) as info:
-        conjugate_gradient(ops.K, b, tol=1e-14, max_iter=3)
-    assert info.value.residual > 0
-    assert info.value.iterations == 3
 
 
 def test_assembled_operators_symmetric(unit_domain):
