@@ -42,9 +42,30 @@ NUMERICAL_ERROR = 2
 
 _PRESETS = ("harmonic", "checkerboard", "checkerboard_reduced", "smoke")
 
+# every key a config may set, section by section (the README "Config schema")
+CONFIG_KEYS = {
+    "domain": ("xmin", "xmax", "ymin", "ymax"),
+    "potential": ("kind", "value", "square_side", "low", "high"),
+    "flow": ("tau", "tol_energy", "max_steps", "initial_guess"),
+    "study": (
+        "beta", "reference_cells", "h_sequence", "relative_errors",
+        "baseline_coarse_fem", "saturation_check", "warm_start", "plot_script",
+        "cache_dir", "reference_tol_energy",
+    ),
+    "solve": ("space", "cells", "coarse_cells", "beta"),
+}
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports command-line usage errors with the documented exit code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _resolve_config_path(name_or_path):
@@ -58,7 +79,10 @@ def _resolve_config_path(name_or_path):
 
 
 def parse_config(text, overrides=()):
-    """Parse INI text plus ``section.key=value`` overrides into a dict."""
+    """Parse INI text plus ``section.key=value`` overrides into a dict.
+
+    A section or key missing from ``CONFIG_KEYS`` is a ConfigError.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
@@ -73,6 +97,14 @@ def parse_config(text, overrides=()):
             raise ConfigError(f"override key {key!r} must be section.key")
         section, name = key.split(".", 1)
         resolved.setdefault(section.strip(), {})[name.strip()] = value.strip()
+    unknown = [
+        f"{section}.{key}"
+        for section, entries in resolved.items()
+        for key in entries
+        if key not in CONFIG_KEYS.get(section, ())
+    ]
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     return resolved
 
 
@@ -141,7 +173,10 @@ def _flow_from(resolved):
 
 
 def study_config_from(resolved, out_dir=None, use_cache=True, relative=None):
-    """Build a StudyConfig from a resolved configuration dict."""
+    """Build a StudyConfig from a resolved configuration dict.
+
+    ``use_cache=False`` resolves the corrector cache directory to None.
+    """
     H_text = _get(resolved, "study", "h_sequence")
     H_sequence = [float(tok) for tok in H_text.replace(",", " ").split()]
     cache_dir = resolved.get("study", {}).get("cache_dir", "").strip()
@@ -157,8 +192,7 @@ def study_config_from(resolved, out_dir=None, use_cache=True, relative=None):
         flow=_flow_from(resolved),
         baseline_coarse_fem=_get(resolved, "study", "baseline_coarse_fem", default=False, cast=bool),
         relative_errors=_get(resolved, "study", "relative_errors", default=True, cast=bool),
-        cache_dir=cache_dir or None,
-        use_cache=use_cache,
+        cache_dir=(cache_dir or None) if use_cache else None,
         saturation_check=_get(resolved, "study", "saturation_check", default=True, cast=bool),
         warm_start=_get(resolved, "study", "warm_start", default=True, cast=bool),
         reference_tol_energy=float(ref_tol) if ref_tol else None,
@@ -204,12 +238,10 @@ def cmd_solve(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    mesh = uniform_mesh(domain, cells)
     cache = {"hits": 0, "misses": 0}
     if space_kind == "fine_fem":
-        ops = assemble_operators(mesh, potential)
-        space = fine_space(ops)
-        fine_ops = ops
+        fine_ops = assemble_operators(uniform_mesh(domain, cells), potential)
+        space = fine_space(fine_ops)
     elif space_kind in ("lod", "coarse_fem"):
         coarse_cells = _get(resolved, "solve", "coarse_cells", cast=int)
         ratio = cells / coarse_cells
@@ -281,10 +313,8 @@ def cmd_study(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     relative = None
-    if args.relative:
-        relative = True
-    if args.absolute:
-        relative = False
+    if args.relative or args.absolute:  # exclusive flags
+        relative = args.relative
     cfg = study_config_from(resolved, out_dir, use_cache=not args.no_cache, relative=relative)
 
     result = run_study(cfg, log=print)
@@ -351,9 +381,7 @@ def cmd_correctors(args):
     for H in cfg.H_sequence:
         hierarchy = build_hierarchy(cfg.domain, cfg.coarse_cells(H), cfg.refinements(H))
         t0 = time.perf_counter()
-        space, hit = lod_space_cached(
-            hierarchy, ops, cache_dir=cfg.cache_dir if cfg.use_cache else None
-        )
+        space, hit = lod_space_cached(hierarchy, ops, cache_dir=cfg.cache_dir)
         wall = time.perf_counter() - t0
         hits += hit
         misses += not hit
@@ -365,7 +393,7 @@ def cmd_correctors(args):
                 f"solves {space.timings.get('solve_s', 0.0):.2f}s"
             )
         print(f"H={H:g}: {hierarchy.coarse.n_interior} correctors, {detail}, {wall:.2f}s total")
-    if cfg.cache_dir and cfg.use_cache:
+    if cfg.cache_dir:
         outputs = sorted(Path(cfg.cache_dir).glob("correctors_*.npz"))
         print(f"cache dir: {cfg.cache_dir} ({hits} hits, {misses} misses)")
 
@@ -383,7 +411,7 @@ def cmd_correctors(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gplod",
         description="Gross-Pitaevskii ground states in LOD spaces",
     )
@@ -409,8 +437,9 @@ def build_parser():
 
     p_study = sub.add_parser("study", help="convergence-rate study")
     common(p_study)
-    p_study.add_argument("--relative", action="store_true", help="report relative errors")
-    p_study.add_argument("--absolute", action="store_true", help="report absolute errors")
+    norm = p_study.add_mutually_exclusive_group()
+    norm.add_argument("--relative", action="store_true", help="report relative errors")
+    norm.add_argument("--absolute", action="store_true", help="report absolute errors")
     p_study.set_defaults(func=cmd_study)
 
     p_corr = sub.add_parser("correctors", help="build and cache LOD correctors")

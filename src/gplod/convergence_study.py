@@ -9,7 +9,7 @@ same pipeline on the coarse spaces themselves.
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "StudyResult",
     "run_study",
     "fit_rate",
-    "coarse_fem_baseline",
     "write_csv",
     "write_gnuplot",
 ]
@@ -58,8 +57,7 @@ class StudyConfig:
     flow: FlowParams = field(default_factory=FlowParams)
     baseline_coarse_fem: bool = False
     relative_errors: bool = True
-    cache_dir: object = None
-    use_cache: bool = True
+    cache_dir: object = None  # None: build every LOD space afresh, never cache
     saturation_check: bool = True
     warm_start: bool = True
     reference_tol_energy: object = None
@@ -184,12 +182,7 @@ def _reference_flow(config):
     tol = config.reference_tol_energy
     if tol is None:
         tol = min(config.flow.tol_energy, 1e-12)
-    return FlowParams(
-        tau=config.flow.tau,
-        tol_energy=tol,
-        max_steps=config.flow.max_steps,
-        initial_guess=config.flow.initial_guess,
-    )
+    return replace(config.flow, tol_energy=tol)
 
 
 def _compute_reference(config, log):
@@ -218,7 +211,7 @@ def _compute_reference(config, log):
         "wall_time_s": wall,
         "converged": state.converged,
     }
-    return mesh, ops, space, state, ref
+    return ops, state, ref
 
 
 def _saturation_estimate(config, ops_fine, ref_state, ref, log):
@@ -231,9 +224,12 @@ def _saturation_estimate(config, ops_fine, ref_state, ref, log):
         hierarchy = build_hierarchy(config.domain, half_cells, 1)
         ops_half = assemble_operators(hierarchy.coarse, config.potential)
         state = minimize(
-            fine_space(ops_half), config.potential, config.beta, _reference_flow(config)
+            coarse_fem_space(hierarchy, ops_half),
+            config.potential,
+            config.beta,
+            _reference_flow(config),
         )
-        diff = ref_state.fine_coeffs - hierarchy.prolongation_interior() @ state.coeffs
+        diff = ref_state.fine_coeffs - state.fine_coeffs
         l2, h1 = norms(ops_fine, diff)
         est = {
             "h1": h1,
@@ -266,11 +262,51 @@ def _apply_saturation_warnings(rows, estimate):
                 )
 
 
+def _space_rows(config, make_space, ops_fine, ref_state, ref, log, label=""):
+    """Minimize in the space ``make_space(hierarchy)`` builds for each H and
+    tabulate its errors against the reference.
+
+    ``make_space`` returns (space, cache_hit); a failing row is recorded and
+    the remaining rows still run.
+    """
+    rows = []
+    for H in config.H_sequence:
+        row = StudyRow(H=H)
+        t0 = time.perf_counter()
+        try:
+            hierarchy = build_hierarchy(
+                config.domain, config.coarse_cells(H), config.refinements(H)
+            )
+            space, row.cache_hit = make_space(hierarchy)
+            params = config.flow
+            if config.warm_start:
+                c0 = space.project_fine(ref_state.fine_coeffs, ops_fine.M)
+                params = replace(params, initial_guess=c0)
+            state = minimize(space, config.potential, config.beta, params)
+            state = sign_align(state, ref_state.fine_coeffs, ops_fine.M)
+            _error_row(row, state, ref_state.fine_coeffs, ref, ops_fine, config.relative_errors)
+        except Exception as exc:
+            row.failed = True
+            row.message = f"{type(exc).__name__}: {exc}"
+        row.wall_time_s = time.perf_counter() - t0
+        if row.failed:
+            log(f"{label}H={H}: FAILED ({row.message})")
+        else:
+            log(
+                f"{label}H={H}: err_h1={row.err_h1:.3e} err_l2={row.err_l2:.3e} "
+                f"err_E={row.err_energy:.3e} err_lam={row.err_eigenvalue:.3e} "
+                f"({row.iterations} steps, {row.wall_time_s:.1f}s"
+                + (", cached correctors)" if row.cache_hit else ")")
+            )
+        rows.append(row)
+    return rows
+
+
 def run_study(config, log=None):
     """Run the full study: reference, per-H LOD rows, rate fits, baseline."""
     log = log or (lambda msg: None)
     config.validate()
-    mesh_fine, ops_fine, ref_space, ref_state, ref = _compute_reference(config, log)
+    ops_fine, ref_state, ref = _compute_reference(config, log)
 
     invalid = False
     message = ""
@@ -282,51 +318,18 @@ def run_study(config, log=None):
         )
         log(f"WARNING: {message}")
 
-    rows = []
-    cache_hits = cache_misses = 0
-    for H in config.H_sequence:
-        row = StudyRow(H=H)
-        t0 = time.perf_counter()
-        try:
-            hierarchy = build_hierarchy(
-                config.domain, config.coarse_cells(H), config.refinements(H)
-            )
-            space, hit = lod_space_cached(
-                hierarchy,
-                ops_fine,
-                cache_dir=config.cache_dir if config.use_cache else None,
-                rebuild=not config.use_cache,
-            )
-            row.cache_hit = hit
-            cache_hits += hit
-            cache_misses += not hit
-            dspace = lod_discrete_space(space, ops_fine)
-            params = config.flow
-            if config.warm_start:
-                c0 = space.solve_M(space.basis.T @ (ops_fine.M @ ref_state.fine_coeffs))
-                params = FlowParams(
-                    tau=params.tau,
-                    tol_energy=params.tol_energy,
-                    max_steps=params.max_steps,
-                    initial_guess=c0,
-                )
-            state = minimize(dspace, config.potential, config.beta, params)
-            state = sign_align(state, ref_state.fine_coeffs, ops_fine.M)
-            _error_row(row, state, ref_state.fine_coeffs, ref, ops_fine, config.relative_errors)
-        except Exception as exc:
-            row.failed = True
-            row.message = f"{type(exc).__name__}: {exc}"
-        row.wall_time_s = time.perf_counter() - t0
-        if row.failed:
-            log(f"H={H}: FAILED ({row.message})")
-        else:
-            log(
-                f"H={H}: err_h1={row.err_h1:.3e} err_l2={row.err_l2:.3e} "
-                f"err_E={row.err_energy:.3e} err_lam={row.err_eigenvalue:.3e} "
-                f"({row.iterations} steps, {row.wall_time_s:.1f}s"
-                + (", cached correctors)" if row.cache_hit else ")")
-            )
-        rows.append(row)
+    cache = {"hits": 0, "misses": 0}
+
+    def lod_space(hierarchy):
+        lod, hit = lod_space_cached(hierarchy, ops_fine, cache_dir=config.cache_dir)
+        cache["hits" if hit else "misses"] += 1
+        return lod_discrete_space(lod, ops_fine), hit
+
+    def coarse_space(hierarchy):
+        ops_coarse = assemble_operators(hierarchy.coarse, config.potential)
+        return coarse_fem_space(hierarchy, ops_coarse), False
+
+    rows = _space_rows(config, lod_space, ops_fine, ref_state, ref, log)
 
     if config.saturation_check:
         estimate = _saturation_estimate(config, ops_fine, ref_state, ref, log)
@@ -337,8 +340,8 @@ def run_study(config, log=None):
     baseline_rows = []
     baseline_rates = {}
     if config.baseline_coarse_fem:
-        baseline_rows = coarse_fem_baseline(
-            config, ops_fine=ops_fine, ref_state=ref_state, ref=ref, log=log
+        baseline_rows = _space_rows(
+            config, coarse_space, ops_fine, ref_state, ref, log, label="baseline "
         )
         baseline_rates = _fit_all(baseline_rows)
 
@@ -351,56 +354,9 @@ def run_study(config, log=None):
         baseline_rates=baseline_rates,
         invalid=invalid,
         message=message,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
+        cache_hits=cache["hits"],
+        cache_misses=cache["misses"],
     )
-
-
-def coarse_fem_baseline(config, ops_fine=None, ref_state=None, ref=None, log=None):
-    """Per-H error rows of the plain coarse P1 spaces (same pipeline)."""
-    log = log or (lambda msg: None)
-    if ops_fine is None:
-        _, ops_fine, _, ref_state, ref = _compute_reference(config, log)
-    rows = []
-    for H in config.H_sequence:
-        row = StudyRow(H=H)
-        t0 = time.perf_counter()
-        try:
-            hierarchy = build_hierarchy(
-                config.domain, config.coarse_cells(H), config.refinements(H)
-            )
-            ops_coarse = assemble_operators(hierarchy.coarse, config.potential)
-            dspace = coarse_fem_space(hierarchy, ops_coarse)
-            params = config.flow
-            if config.warm_start:
-                P = hierarchy.prolongation_interior()
-                from .sparse_linalg import factor_symmetric
-
-                c0 = factor_symmetric(ops_coarse.M.tocsc()).solve(
-                    P.T @ (ops_fine.M @ ref_state.fine_coeffs)
-                )
-                params = FlowParams(
-                    tau=params.tau,
-                    tol_energy=params.tol_energy,
-                    max_steps=params.max_steps,
-                    initial_guess=c0,
-                )
-            state = minimize(dspace, config.potential, config.beta, params)
-            state = sign_align(state, ref_state.fine_coeffs, ops_fine.M)
-            _error_row(row, state, ref_state.fine_coeffs, ref, ops_fine, config.relative_errors)
-        except Exception as exc:
-            row.failed = True
-            row.message = f"{type(exc).__name__}: {exc}"
-        row.wall_time_s = time.perf_counter() - t0
-        rows.append(row)
-        if row.failed:
-            log(f"baseline H={H}: FAILED ({row.message})")
-        else:
-            log(
-                f"baseline H={H}: err_h1={row.err_h1:.3e} err_l2={row.err_l2:.3e} "
-                f"err_E={row.err_energy:.3e} err_lam={row.err_eigenvalue:.3e}"
-            )
-    return rows
 
 
 def _fmt(value):

@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg as dense_linalg
+from scipy import sparse
 
 from .fem_core import (
     assemble_density_mass,
     eigenvalue_from_state,
-    energy,
     l4_norm4,
     potential_at_quadrature,
     _tri_geometry,
@@ -81,17 +81,17 @@ class DiscreteSpace:
     Carries the space-coordinate operators A (stiffness plus potential
     mass) and M, the map onto the nonlinear-assembly mesh (identity for
     both P1 spaces, the basis matrix for LOD), and the map onto the fine
-    mesh (the prolongation for coarse P1).
+    mesh (the prolongation for coarse P1).  Every space runs the same
+    formulas; SPD solves follow the operator's storage (sparse LU for the
+    sparse P1 matrices, dense Cholesky-based solves for the dense LOD ones).
     """
 
-    def __init__(self, tag, ops, A, M, rep_assembly=None, rep_fine=None, lod=None):
-        self.tag = tag
+    def __init__(self, ops, A, M, rep_assembly=None, rep_fine=None):
         self.ops = ops  # operators of the nonlinear-assembly mesh
         self.A = A
         self.M = M
         self.rep_assembly = rep_assembly
         self.rep_fine = rep_fine
-        self.lod = lod
 
     @property
     def n_dofs(self):
@@ -104,6 +104,12 @@ class DiscreteSpace:
     def to_fine(self, c):
         """Fine-mesh interior representation (prolongation for coarse P1)."""
         return c if self.rep_fine is None else self.rep_fine @ c
+
+    def project_fine(self, v, M_fine):
+        """L2 projection of a fine interior function into the space."""
+        if self.rep_fine is None:
+            return v
+        return _solve_spd(self.M, self.rep_fine.T @ (M_fine @ v))
 
     def nonlinear_matrix(self, c):
         """Density mass N(u) Galerkin-projected into space coordinates."""
@@ -118,46 +124,44 @@ class DiscreteSpace:
         return float(np.sqrt(c @ (self.M @ c)))
 
     def energy_of(self, c, beta):
-        if self.tag == "lod":
-            quadratic = 0.5 * float(c @ (self.A @ c))
-            if beta == 0.0:
-                return quadratic
-            return quadratic + 0.25 * beta * self.l4_of(c)
-        return energy(self.ops, c, beta)
+        """1/2 c^T A c + beta/4 ||u||_L4^4."""
+        quadratic = 0.5 * float(c @ (self.A @ c))
+        if beta == 0.0:
+            return quadratic
+        return quadratic + 0.25 * beta * self.l4_of(c)
 
     def l4_of(self, c):
         return l4_norm4(self.ops.mesh, self.ops.expand(self.to_assembly(c)), self.ops.quad)
 
     def solve_shifted(self, N, beta, tau, rhs):
         """Solve (M/tau + A + beta N) x = rhs in space coordinates."""
-        if self.tag == "lod":
-            H = self.M / tau + self.A + beta * N
-            return dense_linalg.solve(H, rhs, assume_a="pos")
-        H = (self.M / tau + self.A + beta * N).tocsc()
+        return _solve_spd(self.M / tau + self.A + beta * N, rhs)
+
+
+def _solve_spd(H, rhs):
+    """Solve H x = rhs for SPD H: sparse LU if H is sparse, else dense."""
+    if sparse.issparse(H):
+        H = H.tocsc()  # rebinding frees the other format before the LU (peak RSS)
         return factor_symmetric(H).solve(rhs)
+    return dense_linalg.solve(H, rhs, assume_a="pos")
 
 
 def fine_space(ops_fine):
     """Fine-mesh P1 space (the reference space of a study)."""
-    return DiscreteSpace("fine_fem", ops_fine, ops_fine.A, ops_fine.M)
+    return DiscreteSpace(ops_fine, ops_fine.A, ops_fine.M)
 
 
 def coarse_fem_space(hierarchy, ops_coarse):
     """Plain coarse P1 space; the fine representation is the prolongation."""
     return DiscreteSpace(
-        "coarse_fem",
-        ops_coarse,
-        ops_coarse.A,
-        ops_coarse.M,
-        rep_fine=hierarchy.prolongation_interior(),
+        ops_coarse, ops_coarse.A, ops_coarse.M, rep_fine=hierarchy.prolongation_interior()
     )
 
 
 def lod_discrete_space(lod, ops_fine):
     """LOD space; space coordinates are coefficients of the LOD basis."""
     return DiscreteSpace(
-        "lod", ops_fine, lod.A_lod, lod.M_lod, rep_assembly=lod.basis,
-        rep_fine=lod.basis, lod=lod,
+        ops_fine, lod.A_lod, lod.M_lod, rep_assembly=lod.basis, rep_fine=lod.basis
     )
 
 
@@ -221,10 +225,10 @@ def _initial_coefficients(space, potential, beta, params):
     else:
         raise ValueError(f"unknown initial guess {guess!r}")
     u = space.ops.restrict(nodal)
-    if space.tag == "lod":
-        # L2 projection of the fine-mesh profile into the LOD space
-        return space.lod.solve_M(space.rep_assembly.T @ (space.ops.M @ u))
-    return u
+    if space.rep_assembly is None:
+        return u
+    # the profile lives on the assembly (fine) mesh: project it into the space
+    return space.project_fine(u, space.ops.M)
 
 
 def minimize(space, potential, beta, params=None):

@@ -101,7 +101,6 @@ class LodSpace:
     potential_descriptor: str
     timings: dict = field(default_factory=dict, repr=False)
     _chol_A: object = field(default=None, repr=False)
-    _chol_M: object = field(default=None, repr=False)
 
     @property
     def n_basis(self):
@@ -111,11 +110,6 @@ class LodSpace:
         if self._chol_A is None:
             self._chol_A = dense_linalg.cho_factor(self.A_lod)
         return dense_linalg.cho_solve(self._chol_A, rhs)
-
-    def solve_M(self, rhs):
-        if self._chol_M is None:
-            self._chol_M = dense_linalg.cho_factor(self.M_lod)
-        return dense_linalg.cho_solve(self._chol_M, rhs)
 
 
 def _symmetrize(G):
@@ -256,10 +250,11 @@ def load_basis(path, hierarchy, potential_descriptor):
     return LodSpace(hierarchy, basis, A_lod, M_lod, potential_descriptor)
 
 
-def lod_space_cached(hierarchy, ops_fine, cache_dir=None, rebuild=False):
+def lod_space_cached(hierarchy, ops_fine, cache_dir=None):
     """Build the LOD space, reusing a disk cache when available.
 
-    Returns (space, cache_hit).  A corrupted or mismatched cache file is
+    Returns (space, cache_hit).  With ``cache_dir`` None nothing is read or
+    written.  A corrupted or mismatched cache file is
     ignored and overwritten.  A callable potential is never cached: its
     descriptor names the function, not its values, so two different
     functions could share a key.
@@ -274,7 +269,7 @@ def lod_space_cached(hierarchy, ops_fine, cache_dir=None, rebuild=False):
             descriptor,
         )
         path = Path(cache_dir) / f"correctors_{key}.npz"
-        if path.exists() and not rebuild:
+        if path.exists():
             try:
                 return load_basis(path, hierarchy, descriptor), True
             except CacheMismatchError as exc:

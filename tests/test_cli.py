@@ -1,11 +1,21 @@
 import json
 import re
 import time
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gplod.cli import main, parse_config, serialize_config, study_config_from
+from gplod.cli import (
+    CONFIG_KEYS,
+    USAGE_ERROR,
+    ConfigError,
+    main,
+    parse_config,
+    serialize_config,
+    study_config_from,
+)
 
 LAPLACE_CONFIG = """
 [domain]
@@ -211,3 +221,63 @@ def test_preset_resolution(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "not found" in captured.err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [["solve.bogus_key=1"], ["solve.localization_radius=3"], ["nosuch.key=1"]],
+)
+def test_unknown_config_key_rejected(tmp_path, capsys, overrides):
+    code = main(["solve", "--config", "smoke", "--out", str(tmp_path), *overrides])
+    captured = capsys.readouterr()
+    assert code == USAGE_ERROR
+    assert overrides[0].split("=")[0] in captured.err
+
+
+def test_unknown_config_key_in_file_rejected():
+    with pytest.raises(ConfigError, match="flow.tua"):
+        parse_config(LAPLACE_CONFIG.replace("tau = 0.5", "tua = 0.5"))
+
+
+@pytest.mark.parametrize("preset", ["harmonic", "checkerboard", "checkerboard_reduced", "smoke"])
+def test_presets_load(preset):
+    text = resources.files("gplod.presets").joinpath(f"{preset}.cfg").read_text()
+    study_config_from(parse_config(text))
+
+
+def test_config_keys_match_readme_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Config schema", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+    documented = {}
+    section = None
+    for line in block.splitlines():
+        text = line.split("#", 1)[0]
+        match = re.match(r"\s*\[(\w+)\](.*)", text)
+        if match:
+            section, text = match.groups()
+        keys = text.split("=", 1)[0].split()
+        if keys:
+            documented.setdefault(section, set()).update(keys)
+    assert documented == {k: set(v) for k, v in CONFIG_KEYS.items()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["study", "--out", "x"],  # --config missing
+        ["study", "--config", "smoke", "--relative", "--absolute"],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == USAGE_ERROR
+    assert "error" in capsys.readouterr().err
+
+
+def test_study_no_cache_creates_no_correctors_dir(tmp_path, capsys):
+    code = main(["study", "--config", "smoke", "--out", str(tmp_path), "--no-cache"])
+    assert code == 0
+    assert not (tmp_path / "correctors").exists()
+    manifest = json.loads((tmp_path / "study_manifest.json").read_text())
+    assert manifest["cache"] == {"hits": 0, "misses": 2}

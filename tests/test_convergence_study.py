@@ -99,6 +99,14 @@ def test_study_determinism_with_cache(tmp_path):
             assert abs(value - b.errors()[col]) <= 1e-12
 
 
+def test_study_without_cache_dir_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = run_study(_smoke_config(cache_dir=None))
+    assert result.cache_hits == 0
+    assert result.cache_misses == len(result.rows)
+    assert not list(tmp_path.rglob("correctors_*.npz"))
+
+
 def test_csv_format(tmp_path):
     result = run_study(_smoke_config())
     path = tmp_path / "study.csv"

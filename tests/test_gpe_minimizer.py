@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy import linalg as dense_linalg
 from scipy.sparse.linalg import eigsh
 
-from gplod.fem_core import Potential, assemble_operators, eigenvalue_from_state
+from gplod.fem_core import Potential, assemble_operators, eigenvalue_from_state, energy
 from gplod.gpe_minimizer import (
     FlowParams,
     coarse_fem_space,
@@ -16,6 +17,7 @@ from gplod.gpe_minimizer import (
 )
 from gplod.lod_space import build_constraint, compute_correctors
 from gplod.mesh import Rect, build_hierarchy, same_mesh_hierarchy, uniform_mesh
+from gplod.sparse_linalg import factor_symmetric
 
 
 def _laplace_setup(cells):
@@ -188,3 +190,39 @@ def test_coarse_fem_space_minimization(unit_domain):
     fine_state = minimize(fine_space(ops_fine), V, 5.0)
     # minimum over the subspace cannot beat the fine minimum
     assert state.energy >= fine_state.energy - 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 50.0])
+def test_energy_of_matches_fem_core_energy(unit_domain, rng, beta):
+    # P1 spaces: 1/2 c^T (K + MV) c + beta/4 ||u||^4 is fem_core.energy up to rounding
+    hierarchy = build_hierarchy(unit_domain, 8, 1)
+    V = Potential.harmonic()
+    ops_fine = assemble_operators(hierarchy.fine, V)
+    ops_coarse = assemble_operators(hierarchy.coarse, V)
+    for ops, space in (
+        (ops_fine, fine_space(ops_fine)),
+        (ops_coarse, coarse_fem_space(hierarchy, ops_coarse)),
+    ):
+        c = rng.random(ops.n_dofs)
+        expected = energy(ops, c, beta)
+        assert abs(space.energy_of(c, beta) - expected) <= 1e-13 * abs(expected)
+
+
+def test_project_fine_matches_direct_formulas(
+    small_hierarchy, small_ops, small_lod, rng
+):
+    v = rng.standard_normal(small_ops.n_dofs)
+    M = small_ops.M
+    # LOD: Cholesky solve with M_lod against B^T M v
+    B = small_lod.basis
+    expected = dense_linalg.cho_solve(dense_linalg.cho_factor(small_lod.M_lod), B.T @ (M @ v))
+    got = lod_discrete_space(small_lod, small_ops).project_fine(v, M)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    # coarse P1: sparse solve with M_H against P^T M v
+    ops_coarse = assemble_operators(small_hierarchy.coarse, small_ops.potential)
+    P = small_hierarchy.prolongation_interior()
+    expected = factor_symmetric(ops_coarse.M.tocsc()).solve(P.T @ (M @ v))
+    got = coarse_fem_space(small_hierarchy, ops_coarse).project_fine(v, M)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    # fine P1: the identity
+    assert fine_space(small_ops).project_fine(v, M) is v
