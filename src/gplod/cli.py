@@ -172,6 +172,19 @@ def _flow_from(resolved):
     )
 
 
+def _cache_dir_from(resolved, out_dir, use_cache):
+    """Corrector cache directory: ``study.cache_dir``, else ``out_dir/correctors``.
+
+    ``use_cache=False`` (``--no-cache``) resolves it to None.
+    """
+    if not use_cache:
+        return None
+    cache_dir = resolved.get("study", {}).get("cache_dir", "").strip()
+    if not cache_dir and out_dir is not None:
+        cache_dir = str(Path(out_dir) / "correctors")
+    return cache_dir or None
+
+
 def study_config_from(resolved, out_dir=None, use_cache=True, relative=None):
     """Build a StudyConfig from a resolved configuration dict.
 
@@ -179,9 +192,6 @@ def study_config_from(resolved, out_dir=None, use_cache=True, relative=None):
     """
     H_text = _get(resolved, "study", "h_sequence")
     H_sequence = [float(tok) for tok in H_text.replace(",", " ").split()]
-    cache_dir = resolved.get("study", {}).get("cache_dir", "").strip()
-    if not cache_dir and out_dir is not None:
-        cache_dir = str(Path(out_dir) / "correctors")
     ref_tol = resolved.get("study", {}).get("reference_tol_energy", "").strip()
     cfg = StudyConfig(
         domain=_domain_from(resolved),
@@ -192,7 +202,7 @@ def study_config_from(resolved, out_dir=None, use_cache=True, relative=None):
         flow=_flow_from(resolved),
         baseline_coarse_fem=_get(resolved, "study", "baseline_coarse_fem", default=False, cast=bool),
         relative_errors=_get(resolved, "study", "relative_errors", default=True, cast=bool),
-        cache_dir=(cache_dir or None) if use_cache else None,
+        cache_dir=_cache_dir_from(resolved, out_dir, use_cache),
         saturation_check=_get(resolved, "study", "saturation_check", default=True, cast=bool),
         warm_start=_get(resolved, "study", "warm_start", default=True, cast=bool),
         reference_tol_energy=float(ref_tol) if ref_tol else None,
@@ -253,7 +263,7 @@ def cmd_solve(args):
         hierarchy = build_hierarchy(domain, coarse_cells, r)
         fine_ops = assemble_operators(hierarchy.fine, potential)
         if space_kind == "lod":
-            cache_dir = None if args.no_cache else out_dir / "correctors"
+            cache_dir = _cache_dir_from(resolved, out_dir, not args.no_cache)
             lod, hit = lod_space_cached(hierarchy, fine_ops, cache_dir=cache_dir)
             cache["hits" if hit else "misses"] += 1
             space = lod_discrete_space(lod, fine_ops)

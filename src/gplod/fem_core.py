@@ -33,7 +33,6 @@ __all__ = [
     "eigenvalue_from_state",
     "norms",
     "l4_norm4",
-    "load_p1",
     "load_triangle_constant",
 ]
 
@@ -195,14 +194,11 @@ class Potential:
 
 
 def _tri_geometry(mesh):
-    """Areas (t,) and P1 basis gradients (t, 3, 2) per triangle."""
+    """P1 basis gradients (t, 3, 2) per triangle."""
     p = mesh.nodes[mesh.triangles]
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if np.any(det <= 0):
-        raise AssemblyError("mesh contains non-positive triangle areas")
-    areas = 0.5 * det
+    det = 2.0 * mesh.areas
     grads = np.empty((mesh.n_triangles, 3, 2))
     # grad(lambda_i) = perp(edge opposite i) / (2 area)
     grads[:, 1, 0] = e2[:, 1] / det
@@ -210,7 +206,7 @@ def _tri_geometry(mesh):
     grads[:, 2, 0] = -e1[:, 1] / det
     grads[:, 2, 1] = e1[:, 0] / det
     grads[:, 0] = -grads[:, 1] - grads[:, 2]
-    return areas, grads
+    return grads
 
 
 def _scatter(mesh, local):
@@ -226,15 +222,14 @@ _MASS_REF = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
 
 def stiffness_matrix(mesh):
     """Full-node stiffness: exact element integrals of grad phi_i . grad phi_j."""
-    areas, grads = _tri_geometry(mesh)
-    local = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
+    grads = _tri_geometry(mesh)
+    local = np.einsum("tid,tjd->tij", grads, grads) * mesh.areas[:, None, None]
     return _scatter(mesh, local)
 
 
 def mass_matrix(mesh):
     """Full-node mass matrix via the closed-form P1 element matrix."""
-    areas, _ = _tri_geometry(mesh)
-    local = areas[:, None, None] * _MASS_REF[None, :, :]
+    local = mesh.areas[:, None, None] * _MASS_REF[None, :, :]
     return _scatter(mesh, local)
 
 
@@ -257,10 +252,9 @@ def potential_at_quadrature(mesh, potential, quad):
 
 def _weighted_mass(mesh, weights_tq, quad):
     """Full-node matrix of integrals w(x) phi_i phi_j with w given at quad points."""
-    areas, _ = _tri_geometry(mesh)
     lam = quad.points
     local = np.einsum("tq,q,qi,qj->tij", weights_tq, quad.weights, lam, lam)
-    return _scatter(mesh, local * areas[:, None, None])
+    return _scatter(mesh, local * mesh.areas[:, None, None])
 
 
 def potential_mass_matrix(mesh, potential, quad=DEFAULT_QUAD):
@@ -271,8 +265,7 @@ def potential_mass_matrix(mesh, potential, quad=DEFAULT_QUAD):
         vt = potential.triangle_values(mesh)
         if vt.min() < 0:
             raise AssemblyError(f"negative potential sample {vt.min()}")
-        areas, _ = _tri_geometry(mesh)
-        local = (vt * areas)[:, None, None] * _MASS_REF[None, :, :]
+        local = (vt * mesh.areas)[:, None, None] * _MASS_REF[None, :, :]
         return _scatter(mesh, local)
     vq = potential_at_quadrature(mesh, potential, quad)
     if vq.min() < -1e-12:
@@ -296,7 +289,7 @@ class FeOperators:
     """Assembled P1 operators over interior (non-boundary) dofs.
 
     K, M, MV are the stiffness, mass, and potential-weighted mass restricted
-    to interior dofs; the *_full variants keep all nodes (no boundary
+    to interior dofs; M_full is the mass over all nodes (no boundary
     elimination).  ``dof_map`` lists the node index of each interior dof.
     """
 
@@ -306,9 +299,7 @@ class FeOperators:
     K: sparse.csr_matrix
     M: sparse.csr_matrix
     MV: sparse.csr_matrix
-    K_full: sparse.csr_matrix
     M_full: sparse.csr_matrix
-    MV_full: sparse.csr_matrix
     dof_map: np.ndarray
     _A: sparse.csr_matrix = field(default=None, repr=False)
 
@@ -342,14 +333,12 @@ def assemble_operators(mesh, potential, quad=None):
         raise AssemblyError("mass assembly needs quadrature exactness >= 2")
     if potential.kind in ("harmonic", "callable") and quad.degree < 4:
         raise AssemblyError("potential mass with a smooth V needs exactness >= 4")
-    K_full = stiffness_matrix(mesh)
-    M_full = mass_matrix(mesh)
-    MV_full = potential_mass_matrix(mesh, potential, quad)
     dof = mesh.interior_nodes()
-    K = K_full[dof][:, dof].tocsr()
+    M_full = mass_matrix(mesh)
+    K = stiffness_matrix(mesh)[dof][:, dof].tocsr()
     M = M_full[dof][:, dof].tocsr()
-    MV = MV_full[dof][:, dof].tocsr()
-    return FeOperators(mesh, potential, quad, K, M, MV, K_full, M_full, MV_full, dof)
+    MV = potential_mass_matrix(mesh, potential, quad)[dof][:, dof].tocsr()
+    return FeOperators(mesh, potential, quad, K, M, MV, M_full, dof)
 
 
 def assemble_density_mass(ops, u_interior):
@@ -366,9 +355,8 @@ def l4_norm4(mesh, u_full, quad=DEFAULT_QUAD):
         raise AssemblyError(
             f"state length {u_full.shape[0]} != node count {mesh.n_nodes}"
         )
-    areas, _ = _tri_geometry(mesh)
     uq = u_full[mesh.triangles] @ quad.points.T
-    return float(np.einsum("t,q,tq->", areas, quad.weights, uq**4))
+    return float(np.einsum("t,q,tq->", mesh.areas, quad.weights, uq**4))
 
 
 def energy(ops, u_interior, beta):
@@ -397,15 +385,9 @@ def norms(ops, e_interior):
     return float(np.sqrt(max(l2sq, 0.0))), float(np.sqrt(max(h1sq, 0.0)))
 
 
-def load_p1(mesh, f_full):
-    """Load vector (f, phi_i) for a P1 density f given by nodal values."""
-    return mass_matrix(mesh) @ np.asarray(f_full)
-
-
 def load_triangle_constant(mesh, f_tri):
     """Load vector (f, phi_i) for a piecewise-constant f given per triangle."""
-    areas, _ = _tri_geometry(mesh)
-    contrib = (np.asarray(f_tri) * areas / 3.0)[:, None].repeat(3, axis=1)
+    contrib = (np.asarray(f_tri) * mesh.areas / 3.0)[:, None].repeat(3, axis=1)
     out = np.zeros(mesh.n_nodes)
     np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
     return out

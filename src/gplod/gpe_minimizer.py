@@ -21,7 +21,6 @@ from .fem_core import (
     eigenvalue_from_state,
     l4_norm4,
     potential_at_quadrature,
-    _tri_geometry,
 )
 from .sparse_linalg import factor_symmetric
 
@@ -178,12 +177,11 @@ def thomas_fermi_values(mesh, potential, beta, quad):
         out[interior] = 1.0
         return out
     vq = potential_at_quadrature(mesh, potential, quad)
-    areas, _ = _tri_geometry(mesh)
     wq = quad.weights
 
     def mass(mu):
         dens = np.maximum(0.0, (mu - vq) / beta)
-        return float(np.einsum("t,q,tq->", areas, wq, dens))
+        return float(np.einsum("t,q,tq->", mesh.areas, wq, dens))
 
     lo = float(vq.min())
     hi = float(vq.max()) + beta / mesh.domain.area + 1.0

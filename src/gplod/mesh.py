@@ -2,11 +2,11 @@
 
 All meshes are criss triangulations: an n x n grid of square cells, each
 split into two right triangles along the same diagonal.  Red refinement
-of such a mesh reproduces the criss mesh of twice the resolution, so the
-refined node numbering is canonicalized to the row-major grid ordering.
-That makes the fine mesh of every hierarchy bit-identical to the mesh
-built directly at the fine resolution, and all spaces of a study can
-share one set of fine-mesh operators.
+of such a mesh is the criss mesh of twice the resolution, so refining is
+construction: ``refine`` builds the finer criss mesh directly.  The fine
+mesh of every hierarchy is therefore the mesh built at the fine
+resolution, node for node and triangle for triangle, and all spaces of a
+study can share one set of fine-mesh operators.
 """
 
 from dataclasses import dataclass
@@ -24,10 +24,6 @@ __all__ = [
     "same_mesh_hierarchy",
     "export_mesh",
 ]
-
-# snap tolerance for identifying grid-aligned coordinates after refinement
-_GRID_SNAP_TOL = 1e-9
-
 
 class MeshError(ValueError):
     """Invalid mesh construction arguments or inconsistent hierarchy."""
@@ -67,32 +63,24 @@ class TriMesh:
     nodes : (n, 2) float array of vertex coordinates.
     triangles : (t, 3) int array of CCW vertex index triples.
     boundary_mask : (n,) bool array, True for nodes on the rectangle boundary.
-    mesh_size : longest edge length over all triangles.
-    level : refinement level relative to the coarsest mesh (0 for uniform_mesh).
+    mesh_size : longest edge length, the diagonal of a grid cell.
     domain : the meshed rectangle.
     cells_per_side : resolution of the underlying square grid.
+    areas : (t,) triangle areas, computed on first use.
+
+    All arrays are read-only.
     """
 
-    def __init__(self, nodes, triangles, boundary_mask, level, domain, cells_per_side):
+    def __init__(self, nodes, triangles, boundary_mask, domain, cells_per_side):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.boundary_mask = np.ascontiguousarray(boundary_mask, dtype=bool)
-        self.level = int(level)
         self.domain = domain
         self.cells_per_side = int(cells_per_side)
         for arr in (self.nodes, self.triangles, self.boundary_mask):
             arr.setflags(write=False)
-        self.mesh_size = float(self._edge_lengths().max())
-
-    def _edge_lengths(self):
-        p = self.nodes[self.triangles]
-        return np.concatenate(
-            [
-                np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-                np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-                np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-            ]
-        )
+        self.mesh_size = float(np.hypot(domain.width, domain.height) / self.cells_per_side)
+        self._areas = None
 
     @property
     def n_nodes(self):
@@ -115,11 +103,19 @@ class TriMesh:
     def n_interior(self):
         return int(np.count_nonzero(~self.boundary_mask))
 
-    def signed_areas(self):
-        p = self.nodes[self.triangles]
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    @property
+    def areas(self):
+        """Triangle areas 0.5 (e1 x e2); raises if any is not positive."""
+        if self._areas is None:
+            p = self.nodes[self.triangles]
+            e1 = p[:, 1] - p[:, 0]
+            e2 = p[:, 2] - p[:, 0]
+            areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+            if np.any(areas <= 0):
+                raise MeshError("mesh contains non-positive triangle areas")
+            areas.setflags(write=False)
+            self._areas = areas
+        return self._areas
 
 
 def uniform_mesh(domain, cells_per_side):
@@ -156,83 +152,20 @@ def uniform_mesh(domain, cells_per_side):
 
     gx, gy = np.meshgrid(ix, ix)
     boundary = (gx.ravel() == 0) | (gx.ravel() == n) | (gy.ravel() == 0) | (gy.ravel() == n)
-    return TriMesh(nodes, triangles, boundary, 0, domain, n)
-
-
-def _canonical_grid_index(mesh_domain, cells, points):
-    """Map grid-aligned points to row-major indices; raises if misaligned."""
-    sx = mesh_domain.width / cells
-    sy = mesh_domain.height / cells
-    fx = (points[:, 0] - mesh_domain.xmin) / sx
-    fy = (points[:, 1] - mesh_domain.ymin) / sy
-    ix = np.rint(fx).astype(np.int64)
-    iy = np.rint(fy).astype(np.int64)
-    if np.abs(fx - ix).max() > _GRID_SNAP_TOL or np.abs(fy - iy).max() > _GRID_SNAP_TOL:
-        raise MeshError("refined nodes do not lie on the expected grid")
-    return ix, iy
+    return TriMesh(nodes, triangles, boundary, domain, n)
 
 
 def refine(mesh, times=1):
-    """Red-refine ``mesh``: every triangle is replaced by 4 similar children.
+    """The criss mesh ``times`` uniform refinements finer than ``mesh``.
 
-    Midpoint nodes are appended per unique edge and the result is then
-    renumbered to the canonical row-major grid ordering with coordinates
-    snapped to the exact grid, so ``refine(uniform_mesh(d, n), 1)`` equals
-    ``uniform_mesh(d, 2n)`` up to triangle ordering.
+    Red refinement of a criss mesh, every triangle split into 4 similar
+    children, is the criss mesh of twice the resolution, so the result is
+    ``uniform_mesh(mesh.domain, mesh.cells_per_side * 2**times)``.
     """
     times = int(times)
     if times < 1:
         raise MeshError(f"times must be >= 1, got {times}")
-    out = mesh
-    for _ in range(times):
-        out = _refine_once(out)
-    return out
-
-
-def _refine_once(mesh):
-    tri = mesh.triangles
-    n_old = mesh.n_nodes
-    # unique edges as sorted pairs; inverse maps each tri edge to its edge id
-    raw = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    raw.setflags(write=True)
-    raw = np.sort(raw, axis=1)
-    edges, inverse, counts = np.unique(raw, axis=0, return_inverse=True, return_counts=True)
-    mid_ids = n_old + np.arange(edges.shape[0])
-    midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-    # an edge midpoint is on the boundary iff the edge belongs to one triangle
-    mid_boundary = counts == 1
-
-    nodes = np.vstack([mesh.nodes, midpoints])
-    boundary = np.concatenate([mesh.boundary_mask, mid_boundary])
-
-    nt = tri.shape[0]
-    m01 = mid_ids[inverse[:nt]]
-    m12 = mid_ids[inverse[nt : 2 * nt]]
-    m20 = mid_ids[inverse[2 * nt :]]
-    children = np.empty((4 * nt, 3), dtype=np.int64)
-    children[0::4] = np.column_stack([tri[:, 0], m01, m20])
-    children[1::4] = np.column_stack([m01, tri[:, 1], m12])
-    children[2::4] = np.column_stack([m20, m12, tri[:, 2]])
-    children[3::4] = np.column_stack([m01, m12, m20])
-
-    cells = 2 * mesh.cells_per_side
-    ix, iy = _canonical_grid_index(mesh.domain, cells, nodes)
-    canon = iy * (cells + 1) + ix
-    if np.unique(canon).size != nodes.shape[0]:
-        raise MeshError("refinement produced coincident nodes")
-    perm = np.empty(nodes.shape[0], dtype=np.int64)
-    perm[canon] = np.arange(nodes.shape[0])
-    # snapped coordinates: exact grid positions, bit-identical to uniform_mesh
-    sx = mesh.domain.width / cells
-    sy = mesh.domain.height / cells
-    snapped = np.empty_like(nodes)
-    snapped[canon, 0] = np.where(ix == cells, mesh.domain.xmax, mesh.domain.xmin + ix * sx)
-    snapped[canon, 1] = np.where(iy == cells, mesh.domain.ymax, mesh.domain.ymin + iy * sy)
-    new_boundary = np.empty_like(boundary)
-    new_boundary[canon] = boundary
-    return TriMesh(
-        snapped, canon[children], new_boundary, mesh.level + 1, mesh.domain, cells
-    )
+    return uniform_mesh(mesh.domain, mesh.cells_per_side * 2**times)
 
 
 class MeshHierarchy:
@@ -334,11 +267,10 @@ def _locate_points(mesh, points):
 
 
 def build_hierarchy(domain, coarse_cells, refinements):
-    """Build the coarse mesh, red-refine it, and locate fine nodes.
+    """Build the coarse mesh, refine it, and locate fine nodes.
 
-    The fine mesh node numbering equals ``uniform_mesh(domain,
-    coarse_cells * 2**refinements)``, so every coarse node is the fine node
-    at the same grid position.
+    The fine mesh is ``uniform_mesh(domain, coarse_cells * 2**refinements)``,
+    so every coarse node is the fine node at the same grid position.
     """
     refinements = int(refinements)
     if refinements < 1:
@@ -351,15 +283,8 @@ def build_hierarchy(domain, coarse_cells, refinements):
 
 def same_mesh_hierarchy(mesh):
     """Degenerate hierarchy with coarse == fine (the H = h limit case)."""
-    # last triangle containing each node, weight 1 on the matching vertex
-    child_tri = np.zeros(mesh.n_nodes, dtype=np.int64)
-    child_vertex = np.zeros(mesh.n_nodes, dtype=np.int64)
-    tri_ids = np.arange(mesh.n_triangles)
-    for local in range(3):
-        child_tri[mesh.triangles[:, local]] = tri_ids
-        child_vertex[mesh.triangles[:, local]] = local
-    child_bary = np.zeros((mesh.n_nodes, 3))
-    child_bary[np.arange(mesh.n_nodes), child_vertex] = 1.0
+    # every node is a vertex of its triangle: weight exactly 1 there
+    child_tri, child_bary = _locate_points(mesh, mesh.nodes)
     return MeshHierarchy(mesh, mesh, 0, child_tri, child_bary)
 
 

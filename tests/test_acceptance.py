@@ -166,7 +166,7 @@ def test_criterion_6_invariant_suite():
     mesh = uniform_mesh(Rect(-6, 6, -6, 6), 12)
     M = mass_matrix(mesh)
     hat = np.zeros(mesh.n_nodes)
-    np.add.at(hat, mesh.triangles.ravel(), np.repeat(mesh.signed_areas() / 3.0, 3))
+    np.add.at(hat, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
     checks.append(
         ("partition of unity", np.abs(np.asarray(M.sum(axis=1)).ravel() - hat).max() <= 1e-12)
     )

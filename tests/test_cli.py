@@ -207,6 +207,26 @@ def test_correctors_cache_cycle(tmp_path, capsys):
     assert manifest["cache"] == {"hits": 1, "misses": 1}
 
 
+def test_solve_reads_study_cache_dir(tmp_path, capsys):
+    # an LOD solve finds the correctors that `correctors` cached in study.cache_dir
+    cache = tmp_path / "cache"
+    code = main(
+        ["correctors", "--config", "smoke", "--out", str(tmp_path / "o1"),
+         f"study.cache_dir={cache}", "study.h_sequence=0.125"]
+    )
+    assert code == 0
+    out = tmp_path / "o2"
+    code = main(
+        ["solve", "--config", "smoke", "--out", str(out), "solve.space=lod",
+         "solve.coarse_cells=8", f"study.cache_dir={cache}"]
+    )
+    assert code == 0
+    manifest = json.loads((out / "solve_manifest.json").read_text())
+    assert manifest["cache"] == {"hits": 1, "misses": 0}
+    assert not (out / "correctors").exists()
+    capsys.readouterr()
+
+
 def test_study_bad_config_exit_code(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("[domain]\nxmin=0\nxmax=1\nymin=0\nymax=1\n")

@@ -10,7 +10,6 @@ from gplod.fem_core import (
     eigenvalue_from_state,
     energy,
     l4_norm4,
-    load_p1,
     mass_matrix,
     norms,
     potential_mass_matrix,
@@ -45,7 +44,7 @@ def test_mass_partition_of_unity(trap_domain):
     M = mass_matrix(mesh)
     assert abs(M.sum() - mesh.domain.area) <= 1e-12 * mesh.domain.area
     # row sums equal the hat-function integrals: one third of incident area
-    areas = mesh.signed_areas()
+    areas = mesh.areas
     hat_integrals = np.zeros(mesh.n_nodes)
     np.add.at(hat_integrals, mesh.triangles.ravel(), np.repeat(areas / 3.0, 3))
     assert np.abs(np.asarray(M.sum(axis=1)).ravel() - hat_integrals).max() <= 1e-12
@@ -184,14 +183,14 @@ def test_poisson_convergence_oracle(unit_domain):
     ref_cells = 64
     mesh_ref = uniform_mesh(unit_domain, ref_cells)
     ops_ref = assemble_operators(mesh_ref, Potential.constant(0.0))
-    rhs = ops_ref.restrict(load_p1(mesh_ref, np.ones(mesh_ref.n_nodes)))
+    rhs = ops_ref.restrict(mass_matrix(mesh_ref) @ np.ones(mesh_ref.n_nodes))
     u_ref = factor_symmetric(ops_ref.K.tocsc()).solve(rhs)
 
     hs, errs_h1, errs_l2 = [], [], []
     for cells in (4, 8, 16):
         hierarchy = build_hierarchy(unit_domain, cells, int(np.log2(ref_cells // cells)))
         ops = assemble_operators(hierarchy.coarse, Potential.constant(0.0))
-        rhs_c = ops.restrict(load_p1(hierarchy.coarse, np.ones(hierarchy.coarse.n_nodes)))
+        rhs_c = ops.restrict(mass_matrix(hierarchy.coarse) @ np.ones(hierarchy.coarse.n_nodes))
         u = factor_symmetric(ops.K.tocsc()).solve(rhs_c)
         e = u_ref - hierarchy.prolongation_interior() @ u
         l2, h1 = norms(ops_ref, e)

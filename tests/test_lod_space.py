@@ -34,7 +34,7 @@ def test_constraint_partition_of_unity(small_hierarchy):
     M_full = mass_matrix(h.fine)
     C_full = h.prolongation_full().T @ M_full
     lhs = C_full @ np.ones(h.fine.n_nodes)
-    areas = h.coarse.signed_areas()
+    areas = h.coarse.areas
     hat_integrals = np.zeros(h.coarse.n_nodes)
     np.add.at(hat_integrals, h.coarse.triangles.ravel(), np.repeat(areas / 3.0, 3))
     assert np.abs(lhs - hat_integrals).max() <= 1e-13

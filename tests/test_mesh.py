@@ -80,7 +80,7 @@ def test_refine_matches_direct_mesh(trap_domain):
 
 def test_orientation_positive(trap_domain):
     for mesh in (uniform_mesh(trap_domain, 5), refine(uniform_mesh(trap_domain, 5), 2)):
-        assert (mesh.signed_areas() > 0).all()
+        assert (mesh.areas > 0).all()
 
 
 def test_determinism(trap_domain):
@@ -122,6 +122,27 @@ def test_hierarchy_dyadic_family(trap_domain):
     assert h.coarse.cell_side == pytest.approx(2.0)
     assert h.fine.cell_side == pytest.approx(0.25)
     assert np.array_equal(h.fine.nodes, uniform_mesh(trap_domain, 48).nodes)
+
+
+@pytest.mark.parametrize("coarse_cells, refinements", [(6, 2), (3, 3)])
+def test_hierarchy_fine_is_direct_mesh(trap_domain, coarse_cells, refinements):
+    # same nodes, boundary and triangles, in the same order
+    fine = build_hierarchy(trap_domain, coarse_cells, refinements).fine
+    direct = uniform_mesh(trap_domain, coarse_cells * 2**refinements)
+    assert np.array_equal(fine.nodes, direct.nodes)
+    assert np.array_equal(fine.triangles, direct.triangles)
+    assert np.array_equal(fine.boundary_mask, direct.boundary_mask)
+
+
+def test_areas_cached_read_only(trap_domain):
+    m = uniform_mesh(trap_domain, 5)
+    areas = m.areas
+    assert areas is m.areas
+    assert not areas.flags.writeable
+    p = m.nodes[m.triangles]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    assert np.array_equal(areas, 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
 
 
 def test_hierarchy_rejects_zero_refinements(trap_domain):
