@@ -33,6 +33,7 @@ from .gpe_minimizer import (
     fine_space,
     lod_discrete_space,
     minimize,
+    stationarity_residual,
 )
 from .lod_space import lod_space_cached
 from .mesh import Rect, build_hierarchy, export_mesh, uniform_mesh
@@ -276,10 +277,12 @@ def cmd_solve(args):
     t0 = time.perf_counter()
     state = minimize(space, potential, beta, flow)
     wall = time.perf_counter() - t0
+    residual, residual_scale = stationarity_residual(space, state, beta)
     print(f"space: {space_kind}, dofs: {space.n_dofs}")
     print(f"energy:     {_fmt12(state.energy)}")
     print(f"eigenvalue: {_fmt12(state.eigenvalue)}")
     print(f"iterations: {state.steps_taken} ({wall:.2f}s), converged: {state.converged}")
+    print(f"stationarity residual: {residual / residual_scale:.2e} (relative)")
 
     outputs = []
     if args.dump_solution:
@@ -307,7 +310,10 @@ def cmd_solve(args):
                 "energy": state.energy,
                 "eigenvalue": state.eigenvalue,
                 "iterations": state.steps_taken,
+                "inner_iterations": state.inner_iterations.tolist(),
                 "converged": state.converged,
+                "residual": residual,
+                "residual_scale": residual_scale,
             },
         },
     )
@@ -361,7 +367,7 @@ def cmd_study(args):
             "cache": {"hits": result.cache_hits, "misses": result.cache_misses},
             "reference": {
                 k: result.reference[k]
-                for k in ("energy", "eigenvalue", "n_dofs", "steps")
+                for k in ("energy", "eigenvalue", "n_dofs", "steps", "inner_iterations")
             },
             "invalid": result.invalid,
         },

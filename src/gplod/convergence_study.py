@@ -204,6 +204,7 @@ def _compute_reference(config, log):
         "eigenvalue": state.eigenvalue,
         "n_dofs": ops.n_dofs,
         "steps": state.steps_taken,
+        "inner_iterations": int(state.inner_iterations.sum()),
         "residual": residual,
         "residual_scale": scale,
         "l2_norm": l2,

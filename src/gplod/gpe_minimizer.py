@@ -5,9 +5,12 @@ One flow step is the semi-implicit backward Euler solve
     (M / tau + A + beta N(u^n)) u~ = (1/tau) M u^n,   u^{n+1} = u~ / ||u~||_L2
 
 where N(u) is the density-weighted mass matrix, reassembled every step on
-the space's nonlinear-assembly mesh (the fine mesh for LOD states) and
-Galerkin-projected into space coordinates.  The iteration stops when the
-energy decrease per unit pseudo-time falls below the tolerance.
+the space's nonlinear-assembly mesh (the fine mesh for LOD states).  It is
+applied matrix-free: in an LOD space with basis B, as v -> B^T N (B v), so
+the dense matrix B^T N B is never formed.  Every step is solved by PCG,
+preconditioned by one factorization of the step-independent linear part
+M / tau + A.  The iteration stops when the energy decrease per unit
+pseudo-time falls below the tolerance.
 """
 
 from dataclasses import dataclass, replace
@@ -15,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg as dense_linalg
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .fem_core import (
     assemble_density_mass,
@@ -37,6 +41,10 @@ __all__ = [
     "thomas_fermi_values",
     "hat_blob_values",
 ]
+
+# PCG on the shifted system: relative residual target and iteration cap
+_PCG_RTOL = 1e-13
+_PCG_MAX_ITERATIONS = 500
 
 
 @dataclass
@@ -61,7 +69,8 @@ class GroundState:
 
     ``coeffs`` lives in the space's own coordinates, ``fine_coeffs`` is its
     fine-mesh interior representation.  ``energy_history`` starts with the
-    energy of the initial guess.
+    energy of the initial guess; ``inner_iterations`` holds the PCG
+    iteration count of each completed step.
     """
 
     coeffs: np.ndarray
@@ -70,6 +79,7 @@ class GroundState:
     eigenvalue: float
     steps_taken: int
     energy_history: np.ndarray
+    inner_iterations: np.ndarray
     converged: bool
     message: str = ""
 
@@ -81,8 +91,10 @@ class DiscreteSpace:
     mass) and M, the map onto the nonlinear-assembly mesh (identity for
     both P1 spaces, the basis matrix for LOD), and the map onto the fine
     mesh (the prolongation for coarse P1).  Every space runs the same
-    formulas; SPD solves follow the operator's storage (sparse LU for the
-    sparse P1 matrices, dense Cholesky-based solves for the dense LOD ones).
+    formulas; SPD factorizations follow the operator's storage (sparse LU
+    for the sparse P1 matrices, dense Cholesky for the dense LOD ones).
+    The linear part M/tau + A of the flow step and its factorization are
+    kept for the last tau used.
     """
 
     def __init__(self, ops, A, M, rep_assembly=None, rep_fine=None):
@@ -91,6 +103,7 @@ class DiscreteSpace:
         self.M = M
         self.rep_assembly = rep_assembly
         self.rep_fine = rep_fine
+        self._linear_part = None  # (tau, M/tau + A, its solve callable)
 
     @property
     def n_dofs(self):
@@ -108,16 +121,25 @@ class DiscreteSpace:
         """L2 projection of a fine interior function into the space."""
         if self.rep_fine is None:
             return v
-        return _solve_spd(self.M, self.rep_fine.T @ (M_fine @ v))
+        return _factor_spd(self.M)(self.rep_fine.T @ (M_fine @ v))
 
     def nonlinear_matrix(self, c):
-        """Density mass N(u) Galerkin-projected into space coordinates."""
+        """Density mass N(u) in space coordinates, for products ``N @ v``.
+
+        The fine density mass is assembled once per call.  P1 spaces get it
+        as the sparse matrix; the LOD space gets the operator
+        v -> B^T (N (B v)), O(nm) per product, and B^T N B is never formed.
+        """
         N = assemble_density_mass(self.ops, self.to_assembly(c))
-        if self.rep_assembly is None:
+        B = self.rep_assembly
+        if B is None:
             return N
-        NB = N @ self.rep_assembly
-        G = self.rep_assembly.T @ NB
-        return 0.5 * (G + G.T)
+
+        def product(v):
+            return B.T @ (N @ (B @ v))
+
+        m = B.shape[1]
+        return LinearOperator((m, m), matvec=product, dtype=float)
 
     def mass_norm(self, c):
         return float(np.sqrt(c @ (self.M @ c)))
@@ -133,16 +155,47 @@ class DiscreteSpace:
         return l4_norm4(self.ops.mesh, self.ops.expand(self.to_assembly(c)), self.ops.quad)
 
     def solve_shifted(self, N, beta, tau, rhs):
-        """Solve (M/tau + A + beta N) x = rhs in space coordinates."""
-        return _solve_spd(self.M / tau + self.A + beta * N, rhs)
+        """Solve (M/tau + A + beta N) x = rhs in space coordinates by PCG.
+
+        N is what ``nonlinear_matrix`` returns; it is only applied to
+        vectors.  The preconditioner is a factorization of M/tau + A, made
+        on the first call with this tau and reused.  Returns
+        ``(x, iterations, info)`` with ``info`` from ``scipy.sparse.linalg.cg``
+        (0 when the relative residual reached the target).
+        """
+        if self._linear_part is None or self._linear_part[0] != tau:
+            H = self.M / tau + self.A
+            self._linear_part = (tau, H, _factor_spd(H))
+        _, H, solve = self._linear_part
+        shape = H.shape
+
+        def product(v):
+            return H @ v + beta * (N @ v)
+
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        x, info = cg(
+            LinearOperator(shape, matvec=product, dtype=float),
+            rhs,
+            rtol=_PCG_RTOL,
+            atol=0.0,
+            maxiter=_PCG_MAX_ITERATIONS,
+            M=LinearOperator(shape, matvec=solve, dtype=float),
+            callback=count,
+        )
+        return x, iterations, info
 
 
-def _solve_spd(H, rhs):
-    """Solve H x = rhs for SPD H: sparse LU if H is sparse, else dense."""
+def _factor_spd(H):
+    """Solve callable for SPD H: sparse LU if H is sparse, else Cholesky."""
     if sparse.issparse(H):
-        H = H.tocsc()  # rebinding frees the other format before the LU (peak RSS)
-        return factor_symmetric(H).solve(rhs)
-    return dense_linalg.solve(H, rhs, assume_a="pos")
+        return factor_symmetric(H).solve
+    factor = dense_linalg.cho_factor(H)
+    return lambda rhs: dense_linalg.cho_solve(factor, rhs)
 
 
 def fine_space(ops_fine):
@@ -232,8 +285,10 @@ def _initial_coefficients(space, potential, beta, params):
 def minimize(space, potential, beta, params=None):
     """Normalized gradient flow on the unit L2 sphere of the space.
 
-    Returns a GroundState; non-convergence within max_steps is reported via
-    ``converged=False`` rather than an exception.
+    Returns a GroundState; non-convergence within max_steps, or an inner PCG
+    solve that misses its residual target within its iteration cap, is
+    reported via ``converged=False`` and ``message`` rather than an
+    exception.  On a PCG failure the state is the last completed step's.
     """
     if params is None:
         params = FlowParams()
@@ -247,22 +302,32 @@ def minimize(space, potential, beta, params=None):
     u = u / nrm
     E = space.energy_of(u, beta)
     history = [E]
+    inner = []
     converged = False
+    message = f"no convergence in {params.max_steps} steps"
     steps = 0
     for steps in range(1, params.max_steps + 1):
         N = space.nonlinear_matrix(u)
         rhs = (space.M @ u) / tau
-        u_tilde = space.solve_shifted(N, beta, tau, rhs)
+        u_tilde, iterations, info = space.solve_shifted(N, beta, tau, rhs)
+        if info != 0:
+            message = (
+                f"inner PCG solve failed at step {steps} after {iterations} "
+                f"iterations (cg info {info})"
+            )
+            steps -= 1
+            break
+        inner.append(iterations)
         u = u_tilde / space.mass_norm(u_tilde)
         E_new = space.energy_of(u, beta)
         history.append(E_new)
         if abs(E_new - E) / tau < params.tol_energy:
             E = E_new
             converged = True
+            message = ""
             break
         E = E_new
     lam = eigenvalue_from_state(E, space.l4_of(u) if beta != 0.0 else 0.0, beta)
-    message = "" if converged else f"no convergence in {params.max_steps} steps"
     return GroundState(
         coeffs=u,
         fine_coeffs=space.to_fine(u),
@@ -270,6 +335,7 @@ def minimize(space, potential, beta, params=None):
         eigenvalue=lam,
         steps_taken=steps,
         energy_history=np.asarray(history),
+        inner_iterations=np.asarray(inner, dtype=int),
         converged=converged,
         message=message,
     )

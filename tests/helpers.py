@@ -1,15 +1,19 @@
 """Shared test utilities: oracles and small study drivers."""
 
 import numpy as np
+from scipy import linalg as dense_linalg
 from scipy import sparse
 
 from gplod.convergence_study import fit_rate
 from gplod.fem_core import (
     Potential,
+    assemble_density_mass,
     assemble_operators,
+    eigenvalue_from_state,
     load_triangle_constant,
     norms,
 )
+from gplod.gpe_minimizer import _initial_coefficients
 from gplod.lod_space import build_constraint, compute_correctors, plod_project
 from gplod.mesh import Rect, build_hierarchy, uniform_mesh
 from gplod.sparse_linalg import factor_symmetric
@@ -50,6 +54,48 @@ def saddle_correctors(hierarchy, ops, constraint):
     A_lod = B.T @ (A @ B)
     M_lod = B.T @ (ops.M @ B)
     return B, 0.5 * (A_lod + A_lod.T), 0.5 * (M_lod + M_lod.T)
+
+
+def direct_shifted_matrix(space, c, beta, tau):
+    """M/tau + A + beta N(u) formed explicitly: the sparse sum for P1 spaces,
+    the dense matrix with the symmetrized projection B^T N B for LOD spaces."""
+    N = assemble_density_mass(space.ops, space.to_assembly(c))
+    B = space.rep_assembly
+    if B is not None:
+        G = B.T @ (N @ B)
+        N = 0.5 * (G + G.T)
+    return space.M / tau + space.A + beta * N
+
+
+def direct_solve(H, rhs):
+    """Sparse LU for sparse H, dense SPD solve otherwise."""
+    if sparse.issparse(H):
+        return factor_symmetric(H.tocsc()).solve(rhs)
+    return dense_linalg.solve(H, rhs, assume_a="pos")
+
+
+def direct_minimize(space, potential, beta, params):
+    """Reference normalized gradient flow that forms and directly solves
+    every shifted system (``direct_shifted_matrix``).
+
+    Same start, steps and stopping test as ``minimize``; returns
+    (coefficients, energy, eigenvalue, steps).
+    """
+    tau = params.tau
+    u = _initial_coefficients(space, potential, beta, params)
+    u = u / space.mass_norm(u)
+    E = space.energy_of(u, beta)
+    for steps in range(1, params.max_steps + 1):
+        H = direct_shifted_matrix(space, u, beta, tau)
+        u_tilde = direct_solve(H, (space.M @ u) / tau)
+        u = u_tilde / space.mass_norm(u_tilde)
+        E_new = space.energy_of(u, beta)
+        done = abs(E_new - E) / tau < params.tol_energy
+        E = E_new
+        if done:
+            break
+    lam = eigenvalue_from_state(E, space.l4_of(u) if beta != 0.0 else 0.0, beta)
+    return u, E, lam, steps
 
 
 def coarse_element_adjacency(coarse):

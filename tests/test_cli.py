@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gplod import gpe_minimizer
 from gplod.cli import (
     CONFIG_KEYS,
     USAGE_ERROR,
@@ -123,6 +124,29 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+def test_solve_records_residual_and_inner_iterations(tmp_path, capsys):
+    code = main(["solve", "--config", "smoke", "--out", str(tmp_path)])
+    assert code == 0
+    res = json.loads((tmp_path / "solve_manifest.json").read_text())["results"]
+    assert res["converged"]
+    assert res["residual"] <= 1e-6 * res["residual_scale"]
+    assert len(res["inner_iterations"]) == res["iterations"]
+    assert min(res["inner_iterations"]) >= 1
+    capsys.readouterr()
+
+
+def test_solve_inner_solve_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gpe_minimizer, "_PCG_MAX_ITERATIONS", 1)
+    code = main(
+        ["solve", "--config", "harmonic", "--out", str(tmp_path), "solve.space=fine_fem",
+         "solve.cells=16"]
+    )
+    assert code == 2
+    assert "inner PCG solve failed at step 1" in capsys.readouterr().err
+    res = json.loads((tmp_path / "solve_manifest.json").read_text())["results"]
+    assert not res["converged"]
 
 
 def test_solve_dumps(tmp_path):
@@ -301,3 +325,4 @@ def test_study_no_cache_creates_no_correctors_dir(tmp_path, capsys):
     assert not (tmp_path / "correctors").exists()
     manifest = json.loads((tmp_path / "study_manifest.json").read_text())
     assert manifest["cache"] == {"hits": 0, "misses": 2}
+    assert manifest["reference"]["inner_iterations"] >= manifest["reference"]["steps"]

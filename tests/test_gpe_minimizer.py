@@ -3,7 +3,14 @@ import pytest
 from scipy import linalg as dense_linalg
 from scipy.sparse.linalg import eigsh
 
-from gplod.fem_core import Potential, assemble_operators, eigenvalue_from_state, energy
+from gplod import gpe_minimizer
+from gplod.fem_core import (
+    Potential,
+    assemble_density_mass,
+    assemble_operators,
+    eigenvalue_from_state,
+    energy,
+)
 from gplod.gpe_minimizer import (
     FlowParams,
     coarse_fem_space,
@@ -18,6 +25,8 @@ from gplod.gpe_minimizer import (
 from gplod.lod_space import build_constraint, compute_correctors
 from gplod.mesh import Rect, build_hierarchy, same_mesh_hierarchy, uniform_mesh
 from gplod.sparse_linalg import factor_symmetric
+
+from helpers import direct_minimize, direct_shifted_matrix, direct_solve
 
 
 def _laplace_setup(cells):
@@ -226,3 +235,79 @@ def test_project_fine_matches_direct_formulas(
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
     # fine P1: the identity
     assert fine_space(small_ops).project_fine(v, M) is v
+
+
+@pytest.fixture(scope="module")
+def trap_spaces(trap_domain):
+    # harmonic trap on [-6,6]^2: 12 coarse cells, 2 refinements (n=2209, m=121)
+    V = Potential.harmonic()
+    hierarchy = build_hierarchy(trap_domain, 12, 2)
+    ops = assemble_operators(hierarchy.fine, V)
+    lod = compute_correctors(hierarchy, ops, build_constraint(hierarchy, ops.M_full))
+    return V, {"lod": lod_discrete_space(lod, ops), "fine": fine_space(ops)}
+
+
+@pytest.mark.parametrize("kind", ["lod", "fine"])
+def test_solve_shifted_matches_direct_solve(trap_spaces, kind, rng):
+    V, spaces = trap_spaces
+    space = spaces[kind]
+    beta, tau = 100.0, 0.5
+    c = rng.random(space.n_dofs)
+    rhs = rng.standard_normal(space.n_dofs)
+    x, iterations, info = space.solve_shifted(space.nonlinear_matrix(c), beta, tau, rhs)
+    expected = direct_solve(direct_shifted_matrix(space, c, beta, tau), rhs)
+    assert info == 0 and 0 < iterations < gpe_minimizer._PCG_MAX_ITERATIONS
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("kind", ["lod", "fine"])
+def test_minimize_matches_direct_flow(trap_spaces, kind):
+    V, spaces = trap_spaces
+    space = spaces[kind]
+    params = FlowParams()
+    state = minimize(space, V, 100.0, params)
+    _, E, lam, steps = direct_minimize(space, V, 100.0, params)
+    assert state.converged
+    assert state.steps_taken == steps
+    assert abs(state.energy - E) <= 1e-12 * abs(E)
+    assert abs(state.eigenvalue - lam) <= 1e-12 * abs(lam)
+    assert len(state.inner_iterations) == steps
+    assert state.inner_iterations.min() >= 1
+
+
+def test_lod_nonlinear_matrix_is_the_projected_product(trap_spaces, rng):
+    _, spaces = trap_spaces
+    space = spaces["lod"]
+    c, v = rng.random(space.n_dofs), rng.standard_normal(space.n_dofs)
+    B = space.rep_assembly
+    N = assemble_density_mass(space.ops, B @ c)
+    expected = B.T @ (N @ (B @ v))
+    got = space.nonlinear_matrix(c) @ v
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def test_preconditioner_factored_once_per_flow(trap_spaces, monkeypatch):
+    V, spaces = trap_spaces
+    ops = spaces["fine"].ops
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return factor_symmetric(A)
+
+    monkeypatch.setattr(gpe_minimizer, "factor_symmetric", counting)
+    state = minimize(fine_space(ops), V, 100.0)
+    assert state.converged and state.steps_taken > 1
+    assert calls == [(ops.n_dofs, ops.n_dofs)]
+
+
+def test_inner_solve_failure_reported(trap_domain, monkeypatch):
+    mesh = uniform_mesh(trap_domain, 16)
+    V = Potential.harmonic()
+    ops = assemble_operators(mesh, V)
+    monkeypatch.setattr(gpe_minimizer, "_PCG_MAX_ITERATIONS", 1)
+    state = minimize(fine_space(ops), V, 100.0)
+    assert not state.converged
+    assert "step 1 after 1 iterations" in state.message
+    assert state.steps_taken == 0
+    assert len(state.inner_iterations) == 0
