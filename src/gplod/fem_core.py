@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from .mesh import nested_dissection
 from .sparse_linalg import assemble_from_triplets
 
 __all__ = [
@@ -273,6 +274,14 @@ def potential_mass_matrix(mesh, potential, quad=DEFAULT_QUAD):
     return _weighted_mass(mesh, vq, quad)
 
 
+def _density_local(mesh, u_full, quad):
+    """Element entries of the density mass, (t, 9) with column 3 i + j."""
+    lam = quad.points
+    outer = quad.weights[:, None] * (lam[:, :, None] * lam[:, None, :]).reshape(-1, 9)
+    uq = u_full[mesh.triangles] @ lam.T  # (t, q)
+    return (uq**2 * mesh.areas[:, None]) @ outer
+
+
 def density_mass_matrix(mesh, u_full, quad=DEFAULT_QUAD):
     """Full-node matrix of integrals |u_h|^2 phi_i phi_j, exact for P1 u_h."""
     u_full = np.asarray(u_full)
@@ -280,8 +289,7 @@ def density_mass_matrix(mesh, u_full, quad=DEFAULT_QUAD):
         raise AssemblyError(
             f"state length {u_full.shape[0]} != node count {mesh.n_nodes}"
         )
-    uq = u_full[mesh.triangles] @ quad.points.T  # (t, q)
-    return _weighted_mass(mesh, uq**2, quad)
+    return _scatter(mesh, _density_local(mesh, u_full, quad))
 
 
 @dataclass
@@ -291,6 +299,9 @@ class FeOperators:
     K, M, MV are the stiffness, mass, and potential-weighted mass restricted
     to interior dofs; M_full is the mass over all nodes (no boundary
     elimination).  ``dof_map`` lists the node index of each interior dof.
+    Built on first use and kept: ``A``, the nested-dissection ``ordering``
+    of the interior dofs for sparse factorizations, and the interior CSR
+    pattern of the density mass with its element-to-slot map.
     """
 
     mesh: object
@@ -302,6 +313,8 @@ class FeOperators:
     M_full: sparse.csr_matrix
     dof_map: np.ndarray
     _A: sparse.csr_matrix = field(default=None, repr=False)
+    _ordering: np.ndarray = field(default=None, repr=False)
+    _density_pattern: tuple = field(default=None, repr=False)
 
     @property
     def n_dofs(self):
@@ -313,6 +326,38 @@ class FeOperators:
         if self._A is None:
             self._A = (self.K + self.MV).tocsr()
         return self._A
+
+    @property
+    def ordering(self):
+        """Nested-dissection order of the interior dofs (``mesh.nested_dissection``)."""
+        if self._ordering is None:
+            self._ordering = nested_dissection(self.mesh)
+        return self._ordering
+
+    @property
+    def density_pattern(self):
+        """(indptr, indices, kept, slots) of the interior density mass.
+
+        ``kept`` marks the element entries (t * 9, row-major per triangle)
+        whose row and column are both interior dofs, and ``slots`` gives the
+        CSR ``data`` position of each kept entry (int32).
+        """
+        if self._density_pattern is None:
+            n = self.n_dofs
+            dof = np.full(self.mesh.n_nodes, -1, dtype=np.int64)
+            dof[self.dof_map] = np.arange(n)
+            d = dof[self.mesh.triangles]
+            rows = np.repeat(d, 3, axis=1).ravel()
+            cols = np.tile(d, (1, 3)).ravel()
+            kept = (rows >= 0) & (cols >= 0)
+            keys, slots = np.unique(rows[kept] * n + cols[kept], return_inverse=True)
+            indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+            indices = keys % n
+            pattern = (indptr.astype(np.int32), indices.astype(np.int32), kept, slots.astype(np.int32))
+            for arr in pattern:  # shared by every N built from it
+                arr.setflags(write=False)
+            self._density_pattern = pattern
+        return self._density_pattern
 
     def expand(self, u_interior):
         """Zero-pad interior coefficients to a full nodal vector."""
@@ -342,10 +387,21 @@ def assemble_operators(mesh, potential, quad=None):
 
 
 def assemble_density_mass(ops, u_interior):
-    """Interior-dof density mass N(u) of a state given in interior coordinates."""
-    N_full = density_mass_matrix(ops.mesh, ops.expand(u_interior), ops.quad)
-    dof = ops.dof_map
-    return N_full[dof][:, dof].tocsr()
+    """Interior-dof density mass N(u) of a state given in interior coordinates.
+
+    Fills only the ``data`` of the interior CSR pattern cached on ``ops``
+    (``FeOperators.density_pattern``): one sum of the kept element entries
+    into their slots.
+    """
+    u_interior = np.asarray(u_interior)
+    if u_interior.shape != (ops.n_dofs,):
+        raise AssemblyError(
+            f"state shape {u_interior.shape} != ({ops.n_dofs},) interior dofs"
+        )
+    indptr, indices, kept, slots = ops.density_pattern
+    local = _density_local(ops.mesh, ops.expand(u_interior), ops.quad)
+    data = np.bincount(slots, weights=local.ravel()[kept], minlength=indices.size)
+    return sparse.csr_matrix((data, indices, indptr), shape=(ops.n_dofs, ops.n_dofs))
 
 
 def l4_norm4(mesh, u_full, quad=DEFAULT_QUAD):

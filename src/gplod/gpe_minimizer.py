@@ -91,8 +91,9 @@ class DiscreteSpace:
     mass) and M, the map onto the nonlinear-assembly mesh (identity for
     both P1 spaces, the basis matrix for LOD), and the map onto the fine
     mesh (the prolongation for coarse P1).  Every space runs the same
-    formulas; SPD factorizations follow the operator's storage (sparse LU
-    for the sparse P1 matrices, dense Cholesky for the dense LOD ones).
+    formulas; SPD factorizations follow the operator's storage (sparse, in
+    the nested-dissection order of ``ops.mesh``, for the P1 matrices;
+    dense Cholesky for the LOD ones).
     The linear part M/tau + A of the flow step and its factorization are
     kept for the last tau used.
     """
@@ -121,7 +122,7 @@ class DiscreteSpace:
         """L2 projection of a fine interior function into the space."""
         if self.rep_fine is None:
             return v
-        return _factor_spd(self.M)(self.rep_fine.T @ (M_fine @ v))
+        return _factor_spd(self.M, self.ops)(self.rep_fine.T @ (M_fine @ v))
 
     def nonlinear_matrix(self, c):
         """Density mass N(u) in space coordinates, for products ``N @ v``.
@@ -165,7 +166,7 @@ class DiscreteSpace:
         """
         if self._linear_part is None or self._linear_part[0] != tau:
             H = self.M / tau + self.A
-            self._linear_part = (tau, H, _factor_spd(H))
+            self._linear_part = (tau, H, _factor_spd(H, self.ops))
         _, H, solve = self._linear_part
         shape = H.shape
 
@@ -190,10 +191,12 @@ class DiscreteSpace:
         return x, iterations, info
 
 
-def _factor_spd(H):
-    """Solve callable for SPD H: sparse LU if H is sparse, else Cholesky."""
+def _factor_spd(H, ops):
+    """Solve callable for SPD H: if H is sparse, its factorization in the
+    nested-dissection order of the interior dofs of ``ops.mesh``, the mesh
+    H lives on; else dense Cholesky."""
     if sparse.issparse(H):
-        return factor_symmetric(H).solve
+        return factor_symmetric(H, ops.ordering).solve
     factor = dense_linalg.cho_factor(H)
     return lambda rhs: dense_linalg.cho_solve(factor, rhs)
 

@@ -121,7 +121,8 @@ def compute_correctors(hierarchy, ops_fine, constraint):
     """Compute the ideal LOD basis and its projected operators.
 
     ``ops_fine`` must be assembled with the potential that defines the
-    bilinear form.  A is factored once; Y = A^{-1} C^T is solved in column
+    bilinear form.  A is factored once, in the nested-dissection order of
+    the fine mesh (``ops_fine.ordering``); Y = A^{-1} C^T is solved in column
     chunks, then B = Y S^{-1} M_H with S = C Y (see the module docstring).
     """
     A = ops_fine.A
@@ -133,14 +134,14 @@ def compute_correctors(hierarchy, ops_fine, constraint):
 
     timings = {}
     t0 = time.perf_counter()
-    fac = factor_symmetric(A)
+    fac = factor_symmetric(A, ops_fine.ordering)
     timings["factor_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     Ct = C.T.tocsc()
     Y = np.empty((n, m))
     for lo in range(0, m, _RHS_CHUNK):
         hi = min(lo + _RHS_CHUNK, m)
-        Y[:, lo:hi] = fac.solve(Ct[:, lo:hi].toarray())
+        Y[:, lo:hi] = fac.solve(Ct[:, lo:hi])
     S_chol = dense_linalg.cho_factor(_symmetrize(C @ Y))
     W = dense_linalg.cho_solve(S_chol, constraint.coarse_mass.toarray())  # S^{-1} M_H
     B = Y @ W

@@ -22,8 +22,14 @@ __all__ = [
     "refine",
     "build_hierarchy",
     "same_mesh_hierarchy",
+    "nested_dissection",
     "export_mesh",
 ]
+
+# grid blocks of at most this many dofs keep their natural (row-major)
+# order; at k = 192 a leaf of 16 leaves 2.66 M nonzeros in L + U, 64 leaves 3.25 M
+_ND_LEAF = 16
+
 
 class MeshError(ValueError):
     """Invalid mesh construction arguments or inconsistent hierarchy."""
@@ -286,6 +292,41 @@ def same_mesh_hierarchy(mesh):
     # every node is a vertex of its triangle: weight exactly 1 there
     child_tri, child_bary = _locate_points(mesh, mesh.nodes)
     return MeshHierarchy(mesh, mesh, 0, child_tri, child_bary)
+
+
+def nested_dissection(mesh):
+    """Geometric nested-dissection order of a criss mesh's interior dofs.
+
+    The interior dofs are row-major on a (k-1) x (k-1) grid, k = cells per
+    side, and each grid line is a vertex separator of the criss mesh
+    (its neighbours differ by at most one row and one column).  The grid
+    is bisected across its longer side; the two halves are ordered
+    recursively and the separator line comes last.  Blocks of at most 16
+    dofs keep their natural order.  Returns ``order`` with
+    ``order[new] = old``, a permutation of ``range(mesh.n_interior)``.
+    """
+    side = mesh.cells_per_side - 1
+    if mesh.n_interior != side * side:
+        raise MeshError("nested dissection needs the interior grid of a criss mesh")
+    blocks = []
+
+    def dissect(grid):
+        rows, cols = grid.shape
+        if grid.size <= _ND_LEAF:
+            blocks.append(grid.ravel())
+        elif rows >= cols:
+            mid = rows // 2
+            dissect(grid[:mid])
+            dissect(grid[mid + 1 :])
+            blocks.append(grid[mid])
+        else:
+            mid = cols // 2
+            dissect(grid[:, :mid])
+            dissect(grid[:, mid + 1 :])
+            blocks.append(grid[:, mid])
+
+    dissect(np.arange(side * side).reshape(side, side))
+    return np.concatenate(blocks)
 
 
 def export_mesh(mesh, path):

@@ -1,8 +1,10 @@
 """Sparse storage and the direct factorization used by assembly and solvers.
 
-Matrices are scipy CSR; the direct factorization wraps SuperLU (fill-reducing
-COLAMD ordering, partial pivoting), which handles SPD and symmetric
-indefinite matrices alike and is reused across many right-hand sides.
+Matrices are scipy CSR.  Every matrix the library factors is symmetric
+positive definite, and the one factorization is SuperLU without pivoting
+in a caller-given symmetric ordering (the nested-dissection order of the
+mesh's interior dofs, ``mesh.nested_dissection``).  It is reused across
+many right-hand sides.
 """
 
 import numpy as np
@@ -16,12 +18,12 @@ __all__ = [
     "factor_symmetric",
 ]
 
-# relative zero-pivot threshold for declaring a factorization singular
+# relative threshold below which a pivot counts as non-positive
 _PIVOT_RTOL = 1e-14
 
 
 class SingularMatrixError(ArithmeticError):
-    """Factorization hit a (near-)zero pivot."""
+    """Matrix is singular or not positive definite (a pivot <= 0)."""
 
 
 def assemble_from_triplets(nrows, ncols, rows, cols=None, values=None):
@@ -51,41 +53,73 @@ def assemble_from_triplets(nrows, ncols, rows, cols=None, values=None):
 
 
 class Factorization:
-    """Direct factorization of a square, structurally symmetric sparse matrix.
+    """Factorization of a sparse symmetric positive definite matrix.
 
-    Solves are reusable for many right-hand sides (1D or stacked columns)
-    without refactoring; safe for concurrent solves on distinct buffers.
+    ``ordering`` is a permutation of the rows (``ordering[new] = old``);
+    SuperLU factors A[ordering][:, ordering] in that order with no
+    pivoting.  A symmetric matrix whose elimination needs no row
+    interchange and has every pivot > ``_PIVOT_RTOL`` times the largest
+    entry is positive definite (Sylvester's law of inertia on A = L D L^T);
+    anything else raises ``SingularMatrixError``.  Solves are reusable for
+    many right-hand sides (1D or stacked columns) without refactoring;
+    safe for concurrent solves on distinct buffers.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, ordering):
         A = sparse.csc_matrix(A)
-        if A.shape[0] != A.shape[1]:
+        n = A.shape[0]
+        if A.shape[1] != n:
             raise ValueError(f"matrix not square: {A.shape}")
         pattern = A != 0
         if (pattern != pattern.T).nnz != 0:
             raise ValueError("matrix not structurally symmetric")
+        order = np.asarray(ordering, dtype=np.intp)
+        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError(f"ordering is not a permutation of range({n})")
         self.shape = A.shape
         scale = abs(A).max() if A.nnz else 0.0
         if scale == 0.0:
             raise SingularMatrixError("zero matrix")
         try:
-            self._lu = sparse_linalg.splu(A)
+            self._lu = sparse_linalg.splu(
+                A[order][:, order],
+                permc_spec="NATURAL",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
             raise SingularMatrixError(str(exc)) from exc
-        pivots = np.abs(self._lu.U.diagonal())
+        if not np.array_equal(self._lu.perm_r, np.arange(n)):
+            raise SingularMatrixError(
+                "matrix is not positive definite: a zero pivot forced a row interchange"
+            )
+        pivots = self._lu.U.diagonal()
         if pivots.min() <= _PIVOT_RTOL * scale:
             raise SingularMatrixError(
-                f"near-zero pivot {pivots.min():.3e} (matrix scale {scale:.3e})"
+                f"matrix is not positive definite: pivot {pivots.min():.3e} "
+                f"(matrix scale {scale:.3e})"
             )
+        self._order = order
 
     def solve(self, b):
-        b = np.asarray(b, dtype=float)
+        """Solution of A x = b for a vector or a block of columns.
+
+        ``b`` may also be a sparse matrix; it is permuted before it is made
+        dense, which saves a dense copy.
+        """
+        if not sparse.issparse(b):
+            b = np.asarray(b, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise ValueError(f"rhs length {b.shape[0]} != {self.shape[0]}")
-        return self._lu.solve(b)
+        if sparse.issparse(b):
+            x = sparse.csr_matrix(b)[self._order].toarray()
+        else:
+            x = b[self._order]
+        # x is a fresh array that the solve copies: reuse it for the result
+        x[self._order] = self._lu.solve(x)
+        return x
 
 
-def factor_symmetric(A):
-    """Factor a structurally symmetric (possibly indefinite) sparse matrix."""
-    return Factorization(A)
-
+def factor_symmetric(A, ordering):
+    """Factor a sparse SPD matrix in the given symmetric ordering."""
+    return Factorization(A, ordering)

@@ -3,6 +3,7 @@
 import numpy as np
 from scipy import linalg as dense_linalg
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from gplod.convergence_study import fit_rate
 from gplod.fem_core import (
@@ -40,14 +41,15 @@ def saddle_correctors(hierarchy, ops, constraint):
         [A  C^T] [q ]   [A lam]
         [C   0 ] [mu] = [  0  ]
 
-    with one factorization of the indefinite saddle matrix.  Returns B and
-    the symmetrized triple products B^T A B and B^T M B.
+    with one SuperLU factorization (COLAMD, partial pivoting) of the
+    indefinite saddle matrix.  Returns B and the symmetrized triple products
+    B^T A B and B^T M B.
     """
     A = ops.A
     C = constraint.C
     lam = hierarchy.prolongation_interior().toarray()
     n = A.shape[0]
-    saddle = factor_symmetric(sparse.bmat([[A, C.T], [C, None]], format="csc"))
+    saddle = splu(sparse.bmat([[A, C.T], [C, None]], format="csc"))
     rhs = np.zeros((n + C.shape[0], lam.shape[1]))
     rhs[:n] = A @ lam
     B = lam - saddle.solve(rhs)[:n]
@@ -68,9 +70,9 @@ def direct_shifted_matrix(space, c, beta, tau):
 
 
 def direct_solve(H, rhs):
-    """Sparse LU for sparse H, dense SPD solve otherwise."""
+    """SuperLU (COLAMD, partial pivoting) for sparse H, dense SPD solve otherwise."""
     if sparse.issparse(H):
-        return factor_symmetric(H.tocsc()).solve(rhs)
+        return splu(H.tocsc()).solve(rhs)
     return dense_linalg.solve(H, rhs, assume_a="pos")
 
 
@@ -143,7 +145,7 @@ def projection_rate_study(smooth):
     else:
         f_tri = np.random.default_rng(7).choice([0.0, 1.0], size=mesh.n_triangles)
         rhs_full = load_triangle_constant(mesh, f_tri)
-    v = factor_symmetric(ops.A.tocsc()).solve(ops.restrict(rhs_full))
+    v = factor_symmetric(ops.A, ops.ordering).solve(ops.restrict(rhs_full))
     ref_l2, ref_h1 = norms(ops, v)
 
     Hs, errs_h1, errs_l2 = [], [], []

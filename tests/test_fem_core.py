@@ -5,6 +5,7 @@ from math import factorial
 from gplod.fem_core import (
     AssemblyError,
     Potential,
+    assemble_density_mass,
     assemble_operators,
     density_mass_matrix,
     eigenvalue_from_state,
@@ -107,6 +108,30 @@ def test_density_mass_dimension_check(unit_domain):
         density_mass_matrix(mesh, np.zeros(4))
 
 
+def test_interior_density_mass_matches_sliced_full(trap_domain, rng):
+    ops = assemble_operators(uniform_mesh(trap_domain, 24), Potential.harmonic())
+    dof = ops.dof_map
+    built = []
+    for _ in range(2):
+        u = rng.standard_normal(ops.n_dofs)
+        N = assemble_density_mass(ops, u)
+        expected = density_mass_matrix(ops.mesh, ops.expand(u))[dof][:, dof].tocsr()
+        assert np.array_equal(N.indptr, expected.indptr)
+        assert np.array_equal(N.indices, expected.indices)
+        assert abs(N - expected).max() <= 1e-14 * abs(expected).max()
+        built.append(N)
+    # the second call filled the pattern the first one built
+    assert np.shares_memory(built[0].indices, built[1].indices)
+    assert np.shares_memory(built[0].indptr, built[1].indptr)
+
+
+def test_interior_density_mass_dimension_check(unit_domain):
+    ops = assemble_operators(uniform_mesh(unit_domain, 4), Potential.constant(1.0))
+    for u in (np.zeros(ops.n_dofs + 1), np.zeros(ops.mesh.n_nodes), np.zeros((ops.n_dofs, 2))):
+        with pytest.raises(AssemblyError):
+            assemble_density_mass(ops, u)
+
+
 def test_energy_zero_state(unit_domain):
     mesh = uniform_mesh(unit_domain, 4)
     ops = assemble_operators(mesh, Potential.constant(0.0))
@@ -184,14 +209,14 @@ def test_poisson_convergence_oracle(unit_domain):
     mesh_ref = uniform_mesh(unit_domain, ref_cells)
     ops_ref = assemble_operators(mesh_ref, Potential.constant(0.0))
     rhs = ops_ref.restrict(mass_matrix(mesh_ref) @ np.ones(mesh_ref.n_nodes))
-    u_ref = factor_symmetric(ops_ref.K.tocsc()).solve(rhs)
+    u_ref = factor_symmetric(ops_ref.K, ops_ref.ordering).solve(rhs)
 
     hs, errs_h1, errs_l2 = [], [], []
     for cells in (4, 8, 16):
         hierarchy = build_hierarchy(unit_domain, cells, int(np.log2(ref_cells // cells)))
         ops = assemble_operators(hierarchy.coarse, Potential.constant(0.0))
         rhs_c = ops.restrict(mass_matrix(hierarchy.coarse) @ np.ones(hierarchy.coarse.n_nodes))
-        u = factor_symmetric(ops.K.tocsc()).solve(rhs_c)
+        u = factor_symmetric(ops.K, ops.ordering).solve(rhs_c)
         e = u_ref - hierarchy.prolongation_interior() @ u
         l2, h1 = norms(ops_ref, e)
         hs.append(1.0 / cells)

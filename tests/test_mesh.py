@@ -6,6 +6,7 @@ from gplod.mesh import (
     Rect,
     build_hierarchy,
     export_mesh,
+    nested_dissection,
     refine,
     same_mesh_hierarchy,
     uniform_mesh,
@@ -218,3 +219,18 @@ def test_export_mesh(tmp_path, unit_domain):
     assert np.array_equal(
         np.array([[int(t) for t in ln.split()] for ln in tri_lines]), m.triangles
     )
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 24, 96])
+def test_nested_dissection_is_permutation(trap_domain, cells):
+    mesh = uniform_mesh(trap_domain, cells)
+    order = nested_dissection(mesh)
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_interior))
+    if cells == 1:
+        assert order.size == 0
+
+
+def test_nested_dissection_separator_last(unit_domain):
+    # 9 x 9 interior grid (> 16 dofs): the middle row is the last separator
+    order = nested_dissection(uniform_mesh(unit_domain, 10))
+    assert np.array_equal(order[-9:], 4 * 9 + np.arange(9))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from gplod.fem_core import Potential, assemble_operators
 from gplod.mesh import uniform_mesh
@@ -9,6 +10,11 @@ from gplod.sparse_linalg import (
     assemble_from_triplets,
     factor_symmetric,
 )
+
+
+def _factor(A):
+    """Factorization in the natural order, for matrices without a mesh."""
+    return factor_symmetric(A, np.arange(A.shape[0]))
 
 
 def test_triplets_duplicates_summed():
@@ -47,21 +53,35 @@ def test_triplets_out_of_range():
 
 def test_factor_diagonal():
     A = sparse.diags([2.0, 3.0]).tocsr()
-    x = factor_symmetric(A).solve(np.array([2.0, 3.0]))
+    x = _factor(A).solve(np.array([2.0, 3.0]))
     assert np.abs(x - 1.0).max() <= 1e-14
 
 
 def test_factor_indefinite_permutation():
+    # solvable by a row interchange, but not positive definite
     A = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    x = factor_symmetric(A).solve(np.array([1.0, 2.0]))
-    assert np.abs(x - np.array([2.0, 1.0])).max() <= 1e-14
+    with pytest.raises(SingularMatrixError, match="not positive definite"):
+        _factor(A)
+
+
+def test_factor_rejects_negative_pivot():
+    A = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(SingularMatrixError, match="not positive definite"):
+        _factor(A)
+
+
+def test_factor_rejects_bad_ordering():
+    A = sparse.eye(3, format="csr")
+    for ordering in ([0, 1], [0, 1, 1], [0, 1, 3]):
+        with pytest.raises(ValueError, match="permutation"):
+            factor_symmetric(A, ordering)
 
 
 def test_factor_random_spd(rng):
     G = sparse.random(50, 50, density=0.2, random_state=7)
     A = (G @ G.T + 50 * sparse.eye(50)).tocsr()
     b = rng.standard_normal(50)
-    x = factor_symmetric(A).solve(b)
+    x = _factor(A).solve(b)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -69,32 +89,31 @@ def test_factor_multiple_rhs(rng):
     G = sparse.random(40, 40, density=0.2, random_state=3)
     A = (G @ G.T + 40 * sparse.eye(40)).tocsr()
     B = rng.standard_normal((40, 5))
-    X = factor_symmetric(A).solve(B)
+    X = _factor(A).solve(B)
     assert np.linalg.norm(A @ X - B) <= 1e-10 * np.linalg.norm(B)
 
 
-def test_factor_saddle_point(rng):
-    # [A C^T; C 0] with full-rank C is indefinite but solvable
+def test_factor_saddle_point():
+    # [A C^T; C 0] with full-rank C is indefinite: rejected
     G = sparse.random(30, 30, density=0.3, random_state=11)
     A = (G @ G.T + 30 * sparse.eye(30)).tocsr()
     C = sparse.random(5, 30, density=0.5, random_state=12).tocsr()
     S = sparse.bmat([[A, C.T], [C, None]], format="csr")
-    b = rng.standard_normal(35)
-    x = factor_symmetric(S).solve(b)
-    assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
+    with pytest.raises(SingularMatrixError, match="not positive definite"):
+        _factor(S)
 
 
 def test_factor_detects_singular():
     A = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
-        factor_symmetric(A)
+        _factor(A)
     with pytest.raises(SingularMatrixError):
-        factor_symmetric(sparse.csr_matrix((3, 3)))
+        _factor(sparse.csr_matrix((3, 3)))
 
 
 def test_factor_rejects_nonsquare():
     with pytest.raises(ValueError):
-        factor_symmetric(sparse.eye(3, 4, format="csr"))
+        _factor(sparse.eye(3, 4, format="csr"))
 
 
 def test_assembled_operators_symmetric(unit_domain):
@@ -106,13 +125,30 @@ def test_assembled_operators_symmetric(unit_domain):
 
 
 def test_factorization_right_inverse(rng):
-    # factor-then-solve acts as a right inverse on random SPD and saddle systems
+    # factor-then-solve acts as a right inverse on random SPD systems; their
+    # saddle systems are rejected
     for n, seed in ((120, 0), (200, 1)):
         G = sparse.random(n, n, density=0.05, random_state=seed)
         A = (G @ G.T + n * sparse.eye(n)).tocsr()
         C = sparse.random(n // 10, n, density=0.3, random_state=seed + 5).tocsr()
         S = sparse.bmat([[A, C.T], [C, None]], format="csr")
-        for M in (A, S):
-            b = rng.standard_normal(M.shape[0])
-            x = factor_symmetric(M).solve(b)
-            assert np.linalg.norm(M @ x - b) <= 1e-10 * np.linalg.norm(b)
+        b = rng.standard_normal(A.shape[0])
+        x = _factor(A).solve(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+        with pytest.raises(SingularMatrixError, match="not positive definite"):
+            _factor(S)
+
+
+@pytest.mark.parametrize("matrix", ["A", "M/tau+A"])
+def test_ordered_solve_matches_colamd(trap_domain, matrix, rng):
+    # nested-dissection, pivot-free solves against SuperLU's COLAMD default
+    ops = assemble_operators(uniform_mesh(trap_domain, 48), Potential.harmonic())
+    H = ops.A if matrix == "A" else ops.M / 0.5 + ops.A
+    fac = factor_symmetric(H, ops.ordering)
+    reference = splu(H.tocsc())
+    block = sparse.random(ops.n_dofs, 8, density=0.05, format="csc", random_state=3)
+    for b in (rng.standard_normal(ops.n_dofs), rng.standard_normal((ops.n_dofs, 8)), block):
+        expected = reference.solve(b.toarray() if sparse.issparse(b) else b)
+        x = fac.solve(b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
