@@ -281,7 +281,10 @@ def cmd_solve(args):
     print(f"space: {space_kind}, dofs: {space.n_dofs}")
     print(f"energy:     {_fmt12(state.energy)}")
     print(f"eigenvalue: {_fmt12(state.eigenvalue)}")
-    print(f"iterations: {state.steps_taken} ({wall:.2f}s), converged: {state.converged}")
+    if state.pre_steps:
+        print(f"coarse-density steps: {state.pre_steps} ({state.pre_seconds:.2f}s)")
+    flow_s = wall - state.pre_seconds
+    print(f"iterations: {state.steps_taken} ({flow_s:.2f}s), converged: {state.converged}")
     print(f"stationarity residual: {residual / residual_scale:.2e} (relative)")
 
     outputs = []
@@ -311,6 +314,10 @@ def cmd_solve(args):
                 "eigenvalue": state.eigenvalue,
                 "iterations": state.steps_taken,
                 "inner_iterations": state.inner_iterations.tolist(),
+                "flow_s": flow_s,
+                "pre_iterations": state.pre_steps,
+                "pre_inner_iterations": state.pre_inner_iterations.tolist(),
+                "pre_flow_s": state.pre_seconds,
                 "converged": state.converged,
                 "residual": residual,
                 "residual_scale": residual_scale,

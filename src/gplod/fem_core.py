@@ -27,7 +27,6 @@ __all__ = [
     "stiffness_matrix",
     "mass_matrix",
     "potential_mass_matrix",
-    "density_mass_matrix",
     "assemble_operators",
     "assemble_density_mass",
     "energy",
@@ -280,16 +279,6 @@ def _density_local(mesh, u_full, quad):
     outer = quad.weights[:, None] * (lam[:, :, None] * lam[:, None, :]).reshape(-1, 9)
     uq = u_full[mesh.triangles] @ lam.T  # (t, q)
     return (uq**2 * mesh.areas[:, None]) @ outer
-
-
-def density_mass_matrix(mesh, u_full, quad=DEFAULT_QUAD):
-    """Full-node matrix of integrals |u_h|^2 phi_i phi_j, exact for P1 u_h."""
-    u_full = np.asarray(u_full)
-    if u_full.shape[0] != mesh.n_nodes:
-        raise AssemblyError(
-            f"state length {u_full.shape[0]} != node count {mesh.n_nodes}"
-        )
-    return _scatter(mesh, _density_local(mesh, u_full, quad))
 
 
 @dataclass

@@ -11,9 +11,21 @@ the dense matrix B^T N B is never formed.  Every step is solved by PCG,
 preconditioned by one factorization of the step-independent linear part
 M / tau + A.  The iteration stops when the energy decrease per unit
 pseudo-time falls below the tolerance.
+
+In an LOD space, a flow from a profile start (``thomas_fermi`` or
+``coarse_hat_blob``) runs the two-level discretization of Henning,
+Malqvist and Peterseim (SIAM J. Numer. Anal. 2014) first.  Since C B = M_H,
+the L2 projection P_H of the LOD function B c onto coarse P1 is the coarse
+P1 function with the same coefficients c.  The coarse-density flow
+replaces |u|^2 in the density term by |P_H u|^2: its N is the sparse coarse
+density mass, so each of its steps uses only m x m matrices and never B.
+The exact flow then continues from its coefficients, to the same
+tolerance.  A start given as a coefficient vector (a warm start) runs the
+exact flow alone.
 """
 
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import linalg as dense_linalg
@@ -21,7 +33,9 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .fem_core import (
+    Potential,
     assemble_density_mass,
+    assemble_operators,
     eigenvalue_from_state,
     l4_norm4,
     potential_at_quadrature,
@@ -70,7 +84,11 @@ class GroundState:
     ``coeffs`` lives in the space's own coordinates, ``fine_coeffs`` is its
     fine-mesh interior representation.  ``energy_history`` starts with the
     energy of the initial guess; ``inner_iterations`` holds the PCG
-    iteration count of each completed step.
+    iteration count of each completed step.  Those and ``steps_taken``
+    belong to the exact flow; the ``pre_`` fields record the flow in the
+    space's ``pre_space`` that ran before it (the coarse-density flow of an
+    LOD space from a profile start): its steps, their PCG iteration counts
+    and its seconds.
     """
 
     coeffs: np.ndarray
@@ -82,6 +100,9 @@ class GroundState:
     inner_iterations: np.ndarray
     converged: bool
     message: str = ""
+    pre_steps: int = 0
+    pre_inner_iterations: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    pre_seconds: float = 0.0
 
 
 class DiscreteSpace:
@@ -95,15 +116,18 @@ class DiscreteSpace:
     the nested-dissection order of ``ops.mesh``, for the P1 matrices;
     dense Cholesky for the LOD ones).
     The linear part M/tau + A of the flow step and its factorization are
-    kept for the last tau used.
+    kept for the last tau used.  ``pre_space``, if given, has the same
+    coordinates, A and M, and a cheaper density term; ``minimize`` runs its
+    flow first from a profile start.
     """
 
-    def __init__(self, ops, A, M, rep_assembly=None, rep_fine=None):
+    def __init__(self, ops, A, M, rep_assembly=None, rep_fine=None, pre_space=None):
         self.ops = ops  # operators of the nonlinear-assembly mesh
         self.A = A
         self.M = M
         self.rep_assembly = rep_assembly
         self.rep_fine = rep_fine
+        self.pre_space = pre_space
         self._linear_part = None  # (tau, M/tau + A, its solve callable)
 
     @property
@@ -214,9 +238,23 @@ def coarse_fem_space(hierarchy, ops_coarse):
 
 
 def lod_discrete_space(lod, ops_fine):
-    """LOD space; space coordinates are coefficients of the LOD basis."""
+    """LOD space; space coordinates are coefficients of the LOD basis.
+
+    Its ``pre_space`` is the coarse-density space: the same A_lod and M_lod,
+    with the density of the coarse P1 function that has the same
+    coefficients (P_H of the LOD function), assembled on the coarse mesh.
+    """
+    # only the mesh, quadrature and interior dofs of these operators are
+    # used; the problem potential may not be assemblable on the coarse mesh
+    ops_coarse = assemble_operators(lod.hierarchy.coarse, Potential.constant(0.0), ops_fine.quad)
+    coarse_density = DiscreteSpace(ops_coarse, lod.A_lod, lod.M_lod, rep_fine=lod.basis)
     return DiscreteSpace(
-        ops_fine, lod.A_lod, lod.M_lod, rep_assembly=lod.basis, rep_fine=lod.basis
+        ops_fine,
+        lod.A_lod,
+        lod.M_lod,
+        rep_assembly=lod.basis,
+        rep_fine=lod.basis,
+        pre_space=coarse_density,
     )
 
 
@@ -285,62 +323,102 @@ def _initial_coefficients(space, potential, beta, params):
     return space.project_fine(u, space.ops.M)
 
 
+@dataclass
+class _FlowRun:
+    """Outcome of one flow: the last completed state and its record."""
+
+    u: np.ndarray
+    energy: float
+    history: list
+    inner: list
+    converged: bool = False
+    failure: str = ""  # set when an inner PCG solve failed
+
+
+def _flow(space, u, beta, params):
+    """Flow steps in ``space`` from the unit-mass coefficients u until
+    |dE|/tau < tol_energy, max_steps, or a failed inner PCG solve."""
+    tau = params.tau
+    E = space.energy_of(u, beta)
+    run = _FlowRun(u, E, [E], [])
+    for step in range(1, params.max_steps + 1):
+        N = space.nonlinear_matrix(u)
+        rhs = (space.M @ u) / tau
+        u_tilde, iterations, info = space.solve_shifted(N, beta, tau, rhs)
+        if info != 0:
+            run.failure = (
+                f"inner PCG solve failed at step {step} after {iterations} "
+                f"iterations (cg info {info})"
+            )
+            break
+        run.inner.append(iterations)
+        u = u_tilde / space.mass_norm(u_tilde)
+        E_new = space.energy_of(u, beta)
+        run.history.append(E_new)
+        run.converged = abs(E_new - E) / tau < params.tol_energy
+        run.u, run.energy, E = u, E_new, E_new
+        if run.converged:
+            break
+    return run
+
+
 def minimize(space, potential, beta, params=None):
     """Normalized gradient flow on the unit L2 sphere of the space.
+
+    If the space has a ``pre_space`` (an LOD space) and the start is a
+    profile, the flow in ``pre_space`` (the coarse-density flow) runs first
+    and the exact flow continues from its coefficients; both stop on the
+    same tolerance.  A start given as a coefficient vector runs the exact
+    flow alone.
 
     Returns a GroundState; non-convergence within max_steps, or an inner PCG
     solve that misses its residual target within its iteration cap, is
     reported via ``converged=False`` and ``message`` rather than an
-    exception.  On a PCG failure the state is the last completed step's.
+    exception.  On a PCG failure the state is the last completed step's,
+    and in a two-phase flow the message names the phase.
     """
     if params is None:
         params = FlowParams()
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    tau = params.tau
     u = _initial_coefficients(space, potential, beta, params)
     nrm = space.mass_norm(u)
     if nrm == 0.0:
         raise ValueError("initial guess is zero")
     u = u / nrm
-    E = space.energy_of(u, beta)
-    history = [E]
-    inner = []
-    converged = False
-    message = f"no convergence in {params.max_steps} steps"
-    steps = 0
-    for steps in range(1, params.max_steps + 1):
-        N = space.nonlinear_matrix(u)
-        rhs = (space.M @ u) / tau
-        u_tilde, iterations, info = space.solve_shifted(N, beta, tau, rhs)
-        if info != 0:
-            message = (
-                f"inner PCG solve failed at step {steps} after {iterations} "
-                f"iterations (cg info {info})"
-            )
-            steps -= 1
-            break
-        inner.append(iterations)
-        u = u_tilde / space.mass_norm(u_tilde)
-        E_new = space.energy_of(u, beta)
-        history.append(E_new)
-        if abs(E_new - E) / tau < params.tol_energy:
-            E = E_new
-            converged = True
-            message = ""
-            break
-        E = E_new
+    pre, pre_seconds = None, 0.0
+    if space.pre_space is not None and not isinstance(params.initial_guess, np.ndarray):
+        t0 = time.perf_counter()
+        pre = _flow(space.pre_space, u, beta, params)
+        pre_seconds = time.perf_counter() - t0
+        space.pre_space._linear_part = None  # free before the exact flow factors its own
+        u = pre.u
+    if pre is not None and pre.failure:
+        E = space.energy_of(u, beta)
+        run = _FlowRun(u, E, [E], [], failure=f"coarse-density phase: {pre.failure}")
+    else:
+        run = _flow(space, u, beta, params)
+        if pre is not None and run.failure:
+            run.failure = f"exact phase: {run.failure}"
+    message = run.failure
+    if not run.converged and not message:
+        message = f"no convergence in {params.max_steps} steps"
+    u, E = run.u, run.energy
+    pre_inner = [] if pre is None else pre.inner
     lam = eigenvalue_from_state(E, space.l4_of(u) if beta != 0.0 else 0.0, beta)
     return GroundState(
         coeffs=u,
         fine_coeffs=space.to_fine(u),
         energy=E,
         eigenvalue=lam,
-        steps_taken=steps,
-        energy_history=np.asarray(history),
-        inner_iterations=np.asarray(inner, dtype=int),
-        converged=converged,
+        steps_taken=len(run.inner),
+        energy_history=np.asarray(run.history),
+        inner_iterations=np.asarray(run.inner, dtype=int),
+        converged=run.converged,
         message=message,
+        pre_steps=len(pre_inner),
+        pre_inner_iterations=np.asarray(pre_inner, dtype=int),
+        pre_seconds=pre_seconds,
     )
 
 

@@ -7,7 +7,11 @@ from scipy.sparse.linalg import splu
 
 from gplod.convergence_study import fit_rate
 from gplod.fem_core import (
+    DEFAULT_QUAD,
+    AssemblyError,
     Potential,
+    _density_local,
+    _scatter,
     assemble_density_mass,
     assemble_operators,
     eigenvalue_from_state,
@@ -30,6 +34,17 @@ def canonical_triangles(triangles):
         out[sel] = np.roll(t[sel], -k, axis=1)
     order = np.lexsort((out[:, 2], out[:, 1], out[:, 0]))
     return out[order]
+
+
+def density_mass_matrix(mesh, u_full, quad=DEFAULT_QUAD):
+    """Full-node matrix of integrals |u_h|^2 phi_i phi_j, exact for P1 u_h:
+    the reference that pins the interior ``assemble_density_mass``."""
+    u_full = np.asarray(u_full)
+    if u_full.shape[0] != mesh.n_nodes:
+        raise AssemblyError(
+            f"state length {u_full.shape[0]} != node count {mesh.n_nodes}"
+        )
+    return _scatter(mesh, _density_local(mesh, u_full, quad))
 
 
 def saddle_correctors(hierarchy, ops, constraint):

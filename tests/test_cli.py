@@ -137,6 +137,30 @@ def test_solve_records_residual_and_inner_iterations(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_manifest_records_both_flow_phases(tmp_path, capsys):
+    # LOD from the Thomas-Fermi profile: coarse-density steps, then exact steps
+    code = main(
+        ["solve", "--config", "smoke", "--out", str(tmp_path), "--no-cache",
+         "solve.space=lod", "solve.coarse_cells=8"]
+    )
+    assert code == 0
+    assert re.search(r"^coarse-density steps: \d+ ", capsys.readouterr().out, re.M)
+    res = json.loads((tmp_path / "solve_manifest.json").read_text())["results"]
+    assert res["converged"] and res["iterations"] >= 1
+    assert len(res["inner_iterations"]) == res["iterations"]
+    assert res["pre_iterations"] >= 1
+    assert len(res["pre_inner_iterations"]) == res["pre_iterations"]
+    assert min(res["pre_inner_iterations"]) >= 1
+    assert res["pre_flow_s"] > 0.0 and res["flow_s"] > 0.0
+    # a P1 space has one phase
+    code = main(["solve", "--config", "smoke", "--out", str(tmp_path)])
+    assert code == 0
+    res = json.loads((tmp_path / "solve_manifest.json").read_text())["results"]
+    assert res["pre_iterations"] == 0 and res["pre_inner_iterations"] == []
+    assert res["pre_flow_s"] == 0.0
+    assert "coarse-density" not in capsys.readouterr().out
+
+
 def test_solve_inner_solve_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(gpe_minimizer, "_PCG_MAX_ITERATIONS", 1)
     code = main(

@@ -7,7 +7,6 @@ from gplod.fem_core import (
     Potential,
     assemble_density_mass,
     assemble_operators,
-    density_mass_matrix,
     eigenvalue_from_state,
     energy,
     l4_norm4,
@@ -21,6 +20,8 @@ from gplod.fem_core import (
 )
 from gplod.mesh import build_hierarchy, uniform_mesh
 from gplod.sparse_linalg import factor_symmetric
+
+from helpers import density_mass_matrix
 
 
 @pytest.mark.parametrize("rule", [quad_degree2(), quad_degree4(), quad_degree8()])

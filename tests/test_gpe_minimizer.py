@@ -10,9 +10,11 @@ from gplod.fem_core import (
     assemble_operators,
     eigenvalue_from_state,
     energy,
+    l4_norm4,
 )
 from gplod.gpe_minimizer import (
     FlowParams,
+    _initial_coefficients,
     coarse_fem_space,
     fine_space,
     hat_blob_values,
@@ -262,9 +264,10 @@ def test_solve_shifted_matches_direct_solve(trap_spaces, kind, rng):
 
 @pytest.mark.parametrize("kind", ["lod", "fine"])
 def test_minimize_matches_direct_flow(trap_spaces, kind):
+    # a vector start: the projected Thomas-Fermi profile, exact flow only
     V, spaces = trap_spaces
     space = spaces[kind]
-    params = FlowParams()
+    params = FlowParams(initial_guess=_initial_coefficients(space, V, 100.0, FlowParams()))
     state = minimize(space, V, 100.0, params)
     _, E, lam, steps = direct_minimize(space, V, 100.0, params)
     assert state.converged
@@ -301,7 +304,18 @@ def test_preconditioner_factored_once_per_flow(trap_spaces, monkeypatch):
     assert calls == [(ops.n_dofs, ops.n_dofs)]
 
 
-def test_inner_solve_failure_reported(trap_domain, monkeypatch):
+def test_inner_solve_failure_reported(trap_domain, trap_spaces, monkeypatch):
+    # LOD, exact phase: the coarse-density flow runs, the first exact step fails
+    V, spaces = trap_spaces
+    lod = spaces["lod"]
+    with monkeypatch.context() as patch:
+        patch.setattr(lod, "solve_shifted", lambda N, beta, tau, rhs: (rhs, 1, 1))
+        state = minimize(lod, V, 100.0)
+    assert not state.converged
+    assert state.message.startswith("exact phase: inner PCG solve failed at step 1 after 1")
+    assert state.steps_taken == 0 and state.pre_steps > 0
+    assert abs(lod.mass_norm(state.coeffs) - 1.0) <= 1e-12
+
     mesh = uniform_mesh(trap_domain, 16)
     V = Potential.harmonic()
     ops = assemble_operators(mesh, V)
@@ -311,3 +325,59 @@ def test_inner_solve_failure_reported(trap_domain, monkeypatch):
     assert "step 1 after 1 iterations" in state.message
     assert state.steps_taken == 0
     assert len(state.inner_iterations) == 0
+
+    # LOD, coarse-density phase: its first step fails, the exact flow never runs
+    state = minimize(lod, V, 100.0)
+    assert not state.converged
+    assert state.message.startswith("coarse-density phase: inner PCG solve failed at step 1")
+    assert state.steps_taken == 0 and state.pre_steps == 0
+    assert len(state.inner_iterations) == 0 and state.energy_history.size == 1
+
+
+def _two_level_matches_exact_flow(space, V, beta):
+    """The two-level flow against the exact flow alone from the same
+    projected profile, within the benchmark's golden bounds (energy 1e-10
+    relative, eigenvalue sqrt(tau * tol_energy) relative)."""
+    params = FlowParams()
+    start = _initial_coefficients(space, V, beta, params)
+    two_level = minimize(space, V, beta, params)
+    exact = minimize(space, V, beta, FlowParams(initial_guess=start))
+    assert two_level.converged and exact.converged
+    assert two_level.pre_steps > 0 and exact.pre_steps == 0
+    assert len(two_level.pre_inner_iterations) == two_level.pre_steps
+    assert len(two_level.inner_iterations) == two_level.steps_taken
+    assert abs(two_level.energy - exact.energy) <= 1e-10 * abs(exact.energy)
+    eig_rtol = np.sqrt(params.tau * params.tol_energy)
+    assert abs(two_level.eigenvalue - exact.eigenvalue) <= eig_rtol * abs(exact.eigenvalue)
+
+
+def test_two_level_flow_matches_exact_flow_harmonic(trap_spaces):
+    V, spaces = trap_spaces
+    _two_level_matches_exact_flow(spaces["lod"], V, 100.0)
+
+
+def test_two_level_flow_matches_exact_flow_fine_checkerboard(trap_domain):
+    # squares of side 1/2 under coarse cells of side H = 1: the potential
+    # cannot be assembled on the coarse mesh, and the coarse-density space
+    # must not need it
+    V = Potential.checkerboard(0.5)
+    hierarchy = build_hierarchy(trap_domain, 12, 2)
+    ops = assemble_operators(hierarchy.fine, V)
+    lod = compute_correctors(hierarchy, ops, build_constraint(hierarchy, ops.M_full))
+    _two_level_matches_exact_flow(lod_discrete_space(lod, ops), V, 100.0)
+
+
+def test_coarse_density_space_sees_the_coarse_projection(
+    small_hierarchy, small_ops, small_constraint, small_lod, rng
+):
+    # C B = M_H: the coarse P1 L2 projection of B c has the coefficients c
+    space = lod_discrete_space(small_lod, small_ops)
+    coarse = space.pre_space
+    c = rng.standard_normal(space.n_dofs)
+    M_H = small_constraint.coarse_mass.toarray()
+    d = np.linalg.solve(M_H, small_constraint.C @ (small_lod.basis @ c))
+    assert np.linalg.norm(d - c) <= 1e-12 * np.linalg.norm(c)
+    assert coarse.ops.mesh is small_hierarchy.coarse
+    assert coarse.A is space.A and coarse.M is space.M
+    expected = l4_norm4(coarse.ops.mesh, coarse.ops.expand(d), coarse.ops.quad)
+    assert abs(coarse.l4_of(c) - expected) <= 1e-12 * expected
