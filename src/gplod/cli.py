@@ -19,24 +19,16 @@ import configparser
 import json
 import sys
 import time
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .convergence_study import StudyConfig, run_study, write_csv, write_gnuplot
+from .convergence_study import StudyConfig, hierarchy_space, run_study, write_csv, write_gnuplot
 from .fem_core import Potential, assemble_operators
-from .gpe_minimizer import (
-    FlowParams,
-    coarse_fem_space,
-    fine_space,
-    lod_discrete_space,
-    minimize,
-    stationarity_residual,
-)
+from .gpe_minimizer import FlowParams, fine_space, minimize, stationarity_residual
 from .lod_space import lod_space_cached
-from .mesh import Rect, build_hierarchy, export_mesh, uniform_mesh
+from .mesh import Rect, build_hierarchy, export_mesh, refinement_count, uniform_mesh
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
@@ -49,9 +41,8 @@ CONFIG_KEYS = {
     "potential": ("kind", "value", "square_side", "low", "high"),
     "flow": ("tau", "tol_energy", "max_steps", "initial_guess"),
     "study": (
-        "beta", "reference_cells", "h_sequence", "relative_errors",
-        "baseline_coarse_fem", "saturation_check", "warm_start", "plot_script",
-        "cache_dir", "reference_tol_energy",
+        "beta", "reference_cells", "h_sequence", "baseline_coarse_fem",
+        "saturation_check", "cache_dir",
     ),
     "solve": ("space", "cells", "coarse_cells", "beta"),
 }
@@ -59,6 +50,18 @@ CONFIG_KEYS = {
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
+
+
+@contextmanager
+def _config_values():
+    """Report a ValueError raised while resolving configuration values (a
+    domain, potential, flow, study or mesh size) as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -107,17 +110,6 @@ def parse_config(text, overrides=()):
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     return resolved
-
-
-def serialize_config(resolved):
-    """Canonical INI text for a resolved configuration."""
-    lines = []
-    for section in sorted(resolved):
-        lines.append(f"[{section}]")
-        for key in sorted(resolved[section]):
-            lines.append(f"{key} = {resolved[section][key]}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def _get(resolved, section, key, default=None, cast=str):
@@ -186,31 +178,27 @@ def _cache_dir_from(resolved, out_dir, use_cache):
     return cache_dir or None
 
 
-def study_config_from(resolved, out_dir=None, use_cache=True, relative=None):
+def study_config_from(resolved, out_dir=None, use_cache=True):
     """Build a StudyConfig from a resolved configuration dict.
 
     ``use_cache=False`` resolves the corrector cache directory to None.
+    An invalid value is a ConfigError.
     """
-    H_text = _get(resolved, "study", "h_sequence")
-    H_sequence = [float(tok) for tok in H_text.replace(",", " ").split()]
-    ref_tol = resolved.get("study", {}).get("reference_tol_energy", "").strip()
-    cfg = StudyConfig(
-        domain=_domain_from(resolved),
-        potential=_potential_from(resolved),
-        beta=_get(resolved, "study", "beta", cast=float),
-        reference_cells=_get(resolved, "study", "reference_cells", cast=int),
-        H_sequence=H_sequence,
-        flow=_flow_from(resolved),
-        baseline_coarse_fem=_get(resolved, "study", "baseline_coarse_fem", default=False, cast=bool),
-        relative_errors=_get(resolved, "study", "relative_errors", default=True, cast=bool),
-        cache_dir=_cache_dir_from(resolved, out_dir, use_cache),
-        saturation_check=_get(resolved, "study", "saturation_check", default=True, cast=bool),
-        warm_start=_get(resolved, "study", "warm_start", default=True, cast=bool),
-        reference_tol_energy=float(ref_tol) if ref_tol else None,
-    )
-    if relative is not None:
-        cfg.relative_errors = relative
-    cfg.validate()
+    with _config_values():
+        H_text = _get(resolved, "study", "h_sequence")
+        H_sequence = [float(tok) for tok in H_text.replace(",", " ").split()]
+        cfg = StudyConfig(
+            domain=_domain_from(resolved),
+            potential=_potential_from(resolved),
+            beta=_get(resolved, "study", "beta", cast=float),
+            reference_cells=_get(resolved, "study", "reference_cells", cast=int),
+            H_sequence=H_sequence,
+            flow=_flow_from(resolved),
+            baseline_coarse_fem=_get(resolved, "study", "baseline_coarse_fem", default=False, cast=bool),
+            cache_dir=_cache_dir_from(resolved, out_dir, use_cache),
+            saturation_check=_get(resolved, "study", "saturation_check", default=True, cast=bool),
+        )
+        cfg.validate()
     return cfg
 
 
@@ -239,40 +227,34 @@ def _fmt12(value):
 def cmd_solve(args):
     config_path = _resolve_config_path(args.config)
     resolved = parse_config(config_path.read_text(), args.overrides)
-    domain = _domain_from(resolved)
-    potential = _potential_from(resolved)
-    flow = _flow_from(resolved)
-    space_kind = _get(resolved, "solve", "space", default="fine_fem")
-    cells = _get(resolved, "solve", "cells", cast=int)
-    beta = _get(resolved, "solve", "beta", cast=float)
+    with _config_values():
+        domain = _domain_from(resolved)
+        potential = _potential_from(resolved)
+        flow = _flow_from(resolved)
+        space_kind = _get(resolved, "solve", "space", default="fine_fem")
+        cells = _get(resolved, "solve", "cells", cast=int)
+        beta = _get(resolved, "solve", "beta", cast=float)
+        if space_kind == "fine_fem":
+            mesh = uniform_mesh(domain, cells)
+        elif space_kind in ("lod", "coarse_fem"):
+            coarse_cells = _get(resolved, "solve", "coarse_cells", cast=int)
+            hierarchy = build_hierarchy(
+                domain, coarse_cells, refinement_count(coarse_cells, cells)
+            )
+            mesh = hierarchy.fine
+        else:
+            raise ConfigError(f"unknown space {space_kind!r}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cache = {"hits": 0, "misses": 0}
+    fine_ops = assemble_operators(mesh, potential)
     if space_kind == "fine_fem":
-        fine_ops = assemble_operators(uniform_mesh(domain, cells), potential)
         space = fine_space(fine_ops)
-    elif space_kind in ("lod", "coarse_fem"):
-        coarse_cells = _get(resolved, "solve", "coarse_cells", cast=int)
-        ratio = cells / coarse_cells
-        r = round(np.log2(ratio)) if ratio > 1 else 0
-        if coarse_cells * 2**r != cells or r < 1:
-            raise ConfigError(
-                f"cells={cells} must be coarse_cells={coarse_cells} times a power of two >= 2"
-            )
-        hierarchy = build_hierarchy(domain, coarse_cells, r)
-        fine_ops = assemble_operators(hierarchy.fine, potential)
-        if space_kind == "lod":
-            cache_dir = _cache_dir_from(resolved, out_dir, not args.no_cache)
-            lod, hit = lod_space_cached(hierarchy, fine_ops, cache_dir=cache_dir)
-            cache["hits" if hit else "misses"] += 1
-            space = lod_discrete_space(lod, fine_ops)
-        else:
-            ops_coarse = assemble_operators(hierarchy.coarse, potential)
-            space = coarse_fem_space(hierarchy, ops_coarse)
     else:
-        raise ConfigError(f"unknown space {space_kind!r}")
+        cache_dir = _cache_dir_from(resolved, out_dir, not args.no_cache)
+        space, _ = hierarchy_space(space_kind, hierarchy, fine_ops, cache_dir, cache)
 
     t0 = time.perf_counter()
     state = minimize(space, potential, beta, flow)
@@ -335,10 +317,7 @@ def cmd_study(args):
     resolved = parse_config(config_path.read_text(), args.overrides)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    relative = None
-    if args.relative or args.absolute:  # exclusive flags
-        relative = args.relative
-    cfg = study_config_from(resolved, out_dir, use_cache=not args.no_cache, relative=relative)
+    cfg = study_config_from(resolved, out_dir, use_cache=not args.no_cache)
 
     result = run_study(cfg, log=print)
 
@@ -349,10 +328,9 @@ def cmd_study(args):
         baseline_path = out_dir / "study_baseline.csv"
         write_csv(result.baseline_rows, result.baseline_rates, baseline_path)
         outputs.append(baseline_path)
-    if _get(resolved, "study", "plot_script", default=True, cast=bool):
-        plot_path = out_dir / "study.gp"
-        write_gnuplot(csv_path, plot_path, title=cfg.potential.descriptor())
-        outputs.append(plot_path)
+    plot_path = out_dir / "study.gp"
+    write_gnuplot(csv_path, plot_path, title=cfg.potential.descriptor())
+    outputs.append(plot_path)
 
     rate_text = ", ".join(
         f"{col}={result.fitted_rates[col]:.3f}"
@@ -460,9 +438,6 @@ def build_parser():
 
     p_study = sub.add_parser("study", help="convergence-rate study")
     common(p_study)
-    norm = p_study.add_mutually_exclusive_group()
-    norm.add_argument("--relative", action="store_true", help="report relative errors")
-    norm.add_argument("--absolute", action="store_true", help="report absolute errors")
     p_study.set_defaults(func=cmd_study)
 
     p_corr = sub.add_parser("correctors", help="build and cache LOD correctors")

@@ -2,7 +2,8 @@
 
 A study minimizes once on the fine reference mesh, then for each coarse
 resolution H builds the (ideal) LOD space over the same fine mesh,
-minimizes there, and tabulates H1, L2, energy, and eigenvalue errors with
+minimizes there from the projected reference, and tabulates H1, L2,
+energy, and eigenvalue errors relative to the reference with
 least-squares convergence rates.  An optional plain-P1 baseline runs the
 same pipeline on the coarse spaces themselves.
 """
@@ -24,12 +25,13 @@ from .gpe_minimizer import (
     stationarity_residual,
 )
 from .lod_space import lod_space_cached
-from .mesh import build_hierarchy, uniform_mesh
+from .mesh import build_hierarchy, refinement_count, uniform_mesh
 
 __all__ = [
     "StudyConfig",
     "StudyRow",
     "StudyResult",
+    "hierarchy_space",
     "run_study",
     "fit_rate",
     "write_csv",
@@ -56,11 +58,8 @@ class StudyConfig:
     H_sequence: list
     flow: FlowParams = field(default_factory=FlowParams)
     baseline_coarse_fem: bool = False
-    relative_errors: bool = True
     cache_dir: object = None  # None: build every LOD space afresh, never cache
     saturation_check: bool = True
-    warm_start: bool = True
-    reference_tol_energy: object = None
 
     def coarse_cells(self, H):
         cells = self.domain.width / H
@@ -69,14 +68,7 @@ class StudyConfig:
         return int(round(cells))
 
     def refinements(self, H):
-        ratio = self.reference_cells / self.coarse_cells(H)
-        r = round(np.log2(ratio))
-        if abs(ratio - 2**r) > 1e-9 or r < 1:
-            raise ValueError(
-                f"reference mesh ({self.reference_cells} cells) is not an integer "
-                f">=1 number of red refinements away from H={H}"
-            )
-        return int(r)
+        return refinement_count(self.coarse_cells(H), self.reference_cells)
 
     def validate(self):
         if self.beta < 0:
@@ -153,7 +145,9 @@ def _fit_all(rows):
     return rates
 
 
-def _error_row(row, state, u_ref, ref, ops_fine, relative):
+def _error_row(row, state, u_ref, ref, ops_fine):
+    """Fill the row's errors relative to the reference's norms, energy and
+    eigenvalue."""
     e = u_ref - state.fine_coeffs
     err_l2, err_h1 = norms(ops_fine, e)
     err_energy = state.energy - ref["energy"]
@@ -163,13 +157,10 @@ def _error_row(row, state, u_ref, ref, ops_fine, relative):
         )
     err_energy = max(err_energy, 0.0)
     err_eig = abs(state.eigenvalue - ref["eigenvalue"])
-    if relative:
-        err_h1 /= ref["h1_norm"]
-        err_l2 /= ref["l2_norm"]
-        err_energy /= abs(ref["energy"])
-        err_eig /= abs(ref["eigenvalue"])
-    row.err_h1, row.err_l2 = err_h1, err_l2
-    row.err_energy, row.err_eigenvalue = err_energy, err_eig
+    row.err_h1 = err_h1 / ref["h1_norm"]
+    row.err_l2 = err_l2 / ref["l2_norm"]
+    row.err_energy = err_energy / abs(ref["energy"])
+    row.err_eigenvalue = err_eig / abs(ref["eigenvalue"])
     row.energy, row.eigenvalue = state.energy, state.eigenvalue
     row.iterations = state.steps_taken
     if not state.converged:
@@ -179,10 +170,7 @@ def _error_row(row, state, u_ref, ref, ops_fine, relative):
 
 
 def _reference_flow(config):
-    tol = config.reference_tol_energy
-    if tol is None:
-        tol = min(config.flow.tol_energy, 1e-12)
-    return replace(config.flow, tol_energy=tol)
+    return replace(config.flow, tol_energy=min(config.flow.tol_energy, 1e-12))
 
 
 def _compute_reference(config, log):
@@ -232,18 +220,12 @@ def _saturation_estimate(config, ops_fine, ref_state, ref, log):
         )
         diff = ref_state.fine_coeffs - state.fine_coeffs
         l2, h1 = norms(ops_fine, diff)
-        est = {
-            "h1": h1,
-            "l2": l2 / 3.0,
-            "energy": abs(state.energy - ref["energy"]) / 3.0,
-            "eigenvalue": abs(state.eigenvalue - ref["eigenvalue"]) / 3.0,
+        return {
+            "h1": h1 / ref["h1_norm"],
+            "l2": l2 / 3.0 / ref["l2_norm"],
+            "energy": abs(state.energy - ref["energy"]) / 3.0 / abs(ref["energy"]),
+            "eigenvalue": abs(state.eigenvalue - ref["eigenvalue"]) / 3.0 / abs(ref["eigenvalue"]),
         }
-        if config.relative_errors:
-            est["h1"] /= ref["h1_norm"]
-            est["l2"] /= ref["l2_norm"]
-            est["energy"] /= abs(ref["energy"])
-            est["eigenvalue"] /= abs(ref["eigenvalue"])
-        return est
     except Exception as exc:  # estimation is advisory, never fatal
         log(f"saturation estimate skipped: {exc}")
         return None
@@ -263,12 +245,29 @@ def _apply_saturation_warnings(rows, estimate):
                 )
 
 
-def _space_rows(config, make_space, ops_fine, ref_state, ref, log, label=""):
-    """Minimize in the space ``make_space(hierarchy)`` builds for each H and
-    tabulate its errors against the reference.
+def hierarchy_space(kind, hierarchy, ops_fine, cache_dir, cache):
+    """The ``"lod"`` or ``"coarse_fem"`` space of a hierarchy whose fine-mesh
+    operators are ``ops_fine``, and whether it came from the corrector cache.
 
-    ``make_space`` returns (space, cache_hit); a failing row is recorded and
-    the remaining rows still run.
+    LOD correctors come from ``lod_space_cached(..., cache_dir)``, and the
+    lookup is counted in ``cache["hits"]`` or ``cache["misses"]``.
+    """
+    if kind == "lod":
+        lod, hit = lod_space_cached(hierarchy, ops_fine, cache_dir=cache_dir)
+        cache["hits" if hit else "misses"] += 1
+        return lod_discrete_space(lod, ops_fine), hit
+    if kind == "coarse_fem":
+        ops_coarse = assemble_operators(hierarchy.coarse, ops_fine.potential)
+        return coarse_fem_space(hierarchy, ops_coarse), False
+    raise ValueError(f"unknown space {kind!r}")
+
+
+def _space_rows(config, kind, ops_fine, ref_state, ref, cache, log, label=""):
+    """Minimize in the ``kind`` space (``hierarchy_space``) of each H, warm
+    started from the projected reference, and tabulate its errors against
+    the reference.
+
+    A failing row is recorded and the remaining rows still run.
     """
     rows = []
     for H in config.H_sequence:
@@ -278,14 +277,14 @@ def _space_rows(config, make_space, ops_fine, ref_state, ref, log, label=""):
             hierarchy = build_hierarchy(
                 config.domain, config.coarse_cells(H), config.refinements(H)
             )
-            space, row.cache_hit = make_space(hierarchy)
-            params = config.flow
-            if config.warm_start:
-                c0 = space.project_fine(ref_state.fine_coeffs, ops_fine.M)
-                params = replace(params, initial_guess=c0)
+            space, row.cache_hit = hierarchy_space(
+                kind, hierarchy, ops_fine, config.cache_dir, cache
+            )
+            c0 = space.project_fine(ref_state.fine_coeffs, ops_fine.M)
+            params = replace(config.flow, initial_guess=c0)
             state = minimize(space, config.potential, config.beta, params)
             state = sign_align(state, ref_state.fine_coeffs, ops_fine.M)
-            _error_row(row, state, ref_state.fine_coeffs, ref, ops_fine, config.relative_errors)
+            _error_row(row, state, ref_state.fine_coeffs, ref, ops_fine)
         except Exception as exc:
             row.failed = True
             row.message = f"{type(exc).__name__}: {exc}"
@@ -320,17 +319,7 @@ def run_study(config, log=None):
         log(f"WARNING: {message}")
 
     cache = {"hits": 0, "misses": 0}
-
-    def lod_space(hierarchy):
-        lod, hit = lod_space_cached(hierarchy, ops_fine, cache_dir=config.cache_dir)
-        cache["hits" if hit else "misses"] += 1
-        return lod_discrete_space(lod, ops_fine), hit
-
-    def coarse_space(hierarchy):
-        ops_coarse = assemble_operators(hierarchy.coarse, config.potential)
-        return coarse_fem_space(hierarchy, ops_coarse), False
-
-    rows = _space_rows(config, lod_space, ops_fine, ref_state, ref, log)
+    rows = _space_rows(config, "lod", ops_fine, ref_state, ref, cache, log)
 
     if config.saturation_check:
         estimate = _saturation_estimate(config, ops_fine, ref_state, ref, log)
@@ -342,7 +331,7 @@ def run_study(config, log=None):
     baseline_rates = {}
     if config.baseline_coarse_fem:
         baseline_rows = _space_rows(
-            config, coarse_space, ops_fine, ref_state, ref, log, label="baseline "
+            config, "coarse_fem", ops_fine, ref_state, ref, cache, log, label="baseline "
         )
         baseline_rates = _fit_all(baseline_rows)
 

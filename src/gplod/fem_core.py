@@ -19,9 +19,7 @@ from .sparse_linalg import assemble_from_triplets
 __all__ = [
     "AssemblyError",
     "QuadRule",
-    "quad_degree2",
     "quad_degree4",
-    "quad_degree8",
     "Potential",
     "FeOperators",
     "stiffness_matrix",
@@ -64,12 +62,6 @@ def _orbit(a, b):
     return [(a, b, b), (b, a, b), (b, b, a)]
 
 
-def quad_degree2():
-    """Edge-midpoint rule, exact through degree 2."""
-    pts = _orbit(0.0, 0.5)
-    return QuadRule(np.array(pts), np.full(3, 1.0 / 3.0), 2)
-
-
 def quad_degree4():
     """Symmetric 6-point rule, exact through degree 4 (the default)."""
     pts = _orbit(0.108103018168070, 0.445948490915965) + _orbit(
@@ -79,26 +71,6 @@ def quad_degree4():
         [np.full(3, 0.223381589678011), np.full(3, 0.109951743655322)]
     )
     return QuadRule(np.array(pts), w, 4)
-
-
-def quad_degree8():
-    """16-point rule, exact through degree 8 (over-integration oracle)."""
-    pts = [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)]
-    pts += _orbit(0.081414823414554, 0.459292588292723)
-    pts += _orbit(0.658861384496480, 0.170569307751760)
-    pts += _orbit(0.898905543365938, 0.050547228317031)
-    a, b, c = 0.008394777409958, 0.263112829634638, 0.728492392955404
-    pts += [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]
-    w = np.concatenate(
-        [
-            [0.144315607677787],
-            np.full(3, 0.095091634267285),
-            np.full(3, 0.103217370534718),
-            np.full(3, 0.032458497623198),
-            np.full(6, 0.027230314174435),
-        ]
-    )
-    return QuadRule(np.array(pts), w, 8)
 
 
 DEFAULT_QUAD = quad_degree4()

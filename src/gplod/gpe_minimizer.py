@@ -28,8 +28,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg as dense_linalg
-from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .fem_core import (
@@ -40,7 +38,7 @@ from .fem_core import (
     l4_norm4,
     potential_at_quadrature,
 )
-from .sparse_linalg import factor_symmetric
+from .sparse_linalg import spd_solver
 
 __all__ = [
     "FlowParams",
@@ -112,9 +110,9 @@ class DiscreteSpace:
     mass) and M, the map onto the nonlinear-assembly mesh (identity for
     both P1 spaces, the basis matrix for LOD), and the map onto the fine
     mesh (the prolongation for coarse P1).  Every space runs the same
-    formulas; SPD factorizations follow the operator's storage (sparse, in
-    the nested-dissection order of ``ops.mesh``, for the P1 matrices;
-    dense Cholesky for the LOD ones).
+    formulas; SPD solves come from ``spd_solver``, which follows the
+    operator's storage (sparse, in the nested-dissection order of
+    ``ops.mesh``, for the P1 matrices; dense Cholesky for the LOD ones).
     The linear part M/tau + A of the flow step and its factorization are
     kept for the last tau used.  ``pre_space``, if given, has the same
     coordinates, A and M, and a cheaper density term; ``minimize`` runs its
@@ -146,7 +144,7 @@ class DiscreteSpace:
         """L2 projection of a fine interior function into the space."""
         if self.rep_fine is None:
             return v
-        return _factor_spd(self.M, self.ops)(self.rep_fine.T @ (M_fine @ v))
+        return spd_solver(self.M, self.ops.ordering)(self.rep_fine.T @ (M_fine @ v))
 
     def nonlinear_matrix(self, c):
         """Density mass N(u) in space coordinates, for products ``N @ v``.
@@ -190,7 +188,7 @@ class DiscreteSpace:
         """
         if self._linear_part is None or self._linear_part[0] != tau:
             H = self.M / tau + self.A
-            self._linear_part = (tau, H, _factor_spd(H, self.ops))
+            self._linear_part = (tau, H, spd_solver(H, self.ops.ordering))
         _, H, solve = self._linear_part
         shape = H.shape
 
@@ -213,16 +211,6 @@ class DiscreteSpace:
             callback=count,
         )
         return x, iterations, info
-
-
-def _factor_spd(H, ops):
-    """Solve callable for SPD H: if H is sparse, its factorization in the
-    nested-dissection order of the interior dofs of ``ops.mesh``, the mesh
-    H lives on; else dense Cholesky."""
-    if sparse.issparse(H):
-        return factor_symmetric(H, ops.ordering).solve
-    factor = dense_linalg.cho_factor(H)
-    return lambda rhs: dense_linalg.cho_solve(factor, rhs)
 
 
 def fine_space(ops_fine):

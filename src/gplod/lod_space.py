@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg as dense_linalg
 from scipy import sparse
 
 from .fem_core import mass_matrix
-from .sparse_linalg import factor_symmetric
+from .sparse_linalg import spd_solver
 
 __all__ = [
     "CacheMismatchError",
@@ -39,7 +38,6 @@ __all__ = [
     "build_constraint",
     "compute_correctors",
     "plod_project",
-    "prolong",
     "cache_key",
     "save_basis",
     "load_basis",
@@ -100,16 +98,10 @@ class LodSpace:
     M_lod: np.ndarray
     potential_descriptor: str
     timings: dict = field(default_factory=dict, repr=False)
-    _chol_A: object = field(default=None, repr=False)
 
     @property
     def n_basis(self):
         return self.basis.shape[1]
-
-    def solve_A(self, rhs):
-        if self._chol_A is None:
-            self._chol_A = dense_linalg.cho_factor(self.A_lod)
-        return dense_linalg.cho_solve(self._chol_A, rhs)
 
 
 def _symmetrize(G):
@@ -134,16 +126,15 @@ def compute_correctors(hierarchy, ops_fine, constraint):
 
     timings = {}
     t0 = time.perf_counter()
-    fac = factor_symmetric(A, ops_fine.ordering)
+    solve_A = spd_solver(A, ops_fine.ordering)
     timings["factor_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     Ct = C.T.tocsc()
     Y = np.empty((n, m))
     for lo in range(0, m, _RHS_CHUNK):
         hi = min(lo + _RHS_CHUNK, m)
-        Y[:, lo:hi] = fac.solve(Ct[:, lo:hi])
-    S_chol = dense_linalg.cho_factor(_symmetrize(C @ Y))
-    W = dense_linalg.cho_solve(S_chol, constraint.coarse_mass.toarray())  # S^{-1} M_H
+        Y[:, lo:hi] = solve_A(Ct[:, lo:hi])
+    W = spd_solver(_symmetrize(C @ Y))(constraint.coarse_mass.toarray())  # S^{-1} M_H
     B = Y @ W
     del Y  # free one dense n x m array before M @ B allocates another
     A_lod = _symmetrize(constraint.coarse_mass @ W)
@@ -160,7 +151,7 @@ def plod_project(space, ops_fine, v_fine):
     space by construction, which is verified to 1e-9 relative.
     """
     rhs = space.basis.T @ (ops_fine.A @ np.asarray(v_fine))
-    c = space.solve_A(rhs)
+    c = spd_solver(space.A_lod)(rhs)
     defect = rhs - space.A_lod @ c
     scale = np.linalg.norm(rhs)
     if scale > 0 and np.linalg.norm(defect) > 1e-9 * scale:
@@ -168,14 +159,6 @@ def plod_project(space, ops_fine, v_fine):
             f"projection residual {np.linalg.norm(defect) / scale:.3e} exceeds 1e-9"
         )
     return c
-
-
-def prolong(space, c):
-    """Fine-mesh P1 coefficients of the LOD function with coefficients c."""
-    c = np.asarray(c)
-    if c.shape[0] != space.n_basis:
-        raise ValueError(f"coefficient length {c.shape[0]} != {space.n_basis}")
-    return space.basis @ c
 
 
 def cache_key(domain, coarse_cells, refinements, potential_descriptor):

@@ -21,6 +21,7 @@ __all__ = [
     "uniform_mesh",
     "refine",
     "build_hierarchy",
+    "refinement_count",
     "same_mesh_hierarchy",
     "nested_dissection",
     "export_mesh",
@@ -224,14 +225,6 @@ class MeshHierarchy:
             self._fine_tri_to_coarse = tri
         return self._fine_tri_to_coarse
 
-    def coarse_node_in_fine(self):
-        """Fine node index of each coarse node (coarse nodes are nested)."""
-        step = 2**self.refinements
-        nc = self.coarse.cells_per_side
-        nf = self.fine.cells_per_side
-        iy, ix = np.divmod(np.arange(self.coarse.n_nodes), nc + 1)
-        return iy * step * (nf + 1) + ix * step
-
 
 def _locate_points(mesh, points):
     """Locate points in a structured criss mesh: (triangle index, barycentric).
@@ -285,6 +278,18 @@ def build_hierarchy(domain, coarse_cells, refinements):
     fine = refine(coarse, refinements)
     child_tri, child_bary = _locate_points(coarse, fine.nodes)
     return MeshHierarchy(coarse, fine, refinements, child_tri, child_bary)
+
+
+def refinement_count(coarse_cells, fine_cells):
+    """The r >= 1 with fine_cells = coarse_cells * 2**r (cells per side)."""
+    if coarse_cells >= 1:
+        r = int(fine_cells // coarse_cells).bit_length() - 1
+        if r >= 1 and coarse_cells * 2**r == fine_cells:
+            return r
+    raise MeshError(
+        f"{fine_cells} cells per side is not {coarse_cells} coarse cells "
+        f"times a power of two >= 2"
+    )
 
 
 def same_mesh_hierarchy(mesh):

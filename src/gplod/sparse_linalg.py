@@ -1,13 +1,15 @@
 """Sparse storage and the direct factorization used by assembly and solvers.
 
 Matrices are scipy CSR.  Every matrix the library factors is symmetric
-positive definite, and the one factorization is SuperLU without pivoting
-in a caller-given symmetric ordering (the nested-dissection order of the
-mesh's interior dofs, ``mesh.nested_dissection``).  It is reused across
-many right-hand sides.
+positive definite, and the one sparse factorization is SuperLU without
+pivoting in a caller-given symmetric ordering (the nested-dissection order
+of the mesh's interior dofs, ``mesh.nested_dissection``).  It is reused
+across many right-hand sides.  ``spd_solver`` is the one way the library
+gets a solve for an SPD matrix, sparse or dense.
 """
 
 import numpy as np
+from scipy import linalg as dense_linalg
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
@@ -15,7 +17,7 @@ __all__ = [
     "SingularMatrixError",
     "assemble_from_triplets",
     "Factorization",
-    "factor_symmetric",
+    "spd_solver",
 ]
 
 # relative threshold below which a pivot counts as non-positive
@@ -26,19 +28,10 @@ class SingularMatrixError(ArithmeticError):
     """Matrix is singular or not positive definite (a pivot <= 0)."""
 
 
-def assemble_from_triplets(nrows, ncols, rows, cols=None, values=None):
-    """CSR matrix from COO triplets; duplicate entries are summed.
-
-    Accepts either three parallel arrays or a single iterable of
-    (i, j, value) tuples.  The result is independent of triplet order.
+def assemble_from_triplets(nrows, ncols, rows, cols, values):
+    """CSR matrix from COO triplets given as three parallel arrays; duplicate
+    entries are summed.  The result is independent of triplet order.
     """
-    if cols is None:
-        trip = list(rows)
-        if trip:
-            rows, cols, values = (np.asarray(t) for t in zip(*trip))
-        else:
-            rows = cols = np.zeros(0, dtype=np.int64)
-            values = np.zeros(0)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     values = np.asarray(values, dtype=float)
@@ -120,6 +113,13 @@ class Factorization:
         return x
 
 
-def factor_symmetric(A, ordering):
-    """Factor a sparse SPD matrix in the given symmetric ordering."""
-    return Factorization(A, ordering)
+def spd_solver(H, ordering=None):
+    """Solve callable ``rhs -> H^{-1} rhs`` for a symmetric positive definite H.
+
+    A sparse H gets its ``Factorization`` in ``ordering``; a dense H gets a
+    dense Cholesky factorization and ``ordering`` is unused.
+    """
+    if sparse.issparse(H):
+        return Factorization(H, ordering).solve
+    factor = dense_linalg.cho_factor(H)
+    return lambda rhs: dense_linalg.cho_solve(factor, rhs)

@@ -10,7 +10,9 @@ from gplod.fem_core import (
     DEFAULT_QUAD,
     AssemblyError,
     Potential,
+    QuadRule,
     _density_local,
+    _orbit,
     _scatter,
     assemble_density_mass,
     assemble_operators,
@@ -21,7 +23,7 @@ from gplod.fem_core import (
 from gplod.gpe_minimizer import _initial_coefficients
 from gplod.lod_space import build_constraint, compute_correctors, plod_project
 from gplod.mesh import Rect, build_hierarchy, uniform_mesh
-from gplod.sparse_linalg import factor_symmetric
+from gplod.sparse_linalg import Factorization
 
 
 def canonical_triangles(triangles):
@@ -34,6 +36,43 @@ def canonical_triangles(triangles):
         out[sel] = np.roll(t[sel], -k, axis=1)
     order = np.lexsort((out[:, 2], out[:, 1], out[:, 0]))
     return out[order]
+
+
+def quad_degree2():
+    """Edge-midpoint rule, exact through degree 2."""
+    pts = _orbit(0.0, 0.5)
+    return QuadRule(np.array(pts), np.full(3, 1.0 / 3.0), 2)
+
+
+def quad_degree8():
+    """16-point rule, exact through degree 8 (over-integration oracle)."""
+    pts = [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)]
+    pts += _orbit(0.081414823414554, 0.459292588292723)
+    pts += _orbit(0.658861384496480, 0.170569307751760)
+    pts += _orbit(0.898905543365938, 0.050547228317031)
+    a, b, c = 0.008394777409958, 0.263112829634638, 0.728492392955404
+    pts += [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]
+    w = np.concatenate(
+        [
+            [0.144315607677787],
+            np.full(3, 0.095091634267285),
+            np.full(3, 0.103217370534718),
+            np.full(3, 0.032458497623198),
+            np.full(6, 0.027230314174435),
+        ]
+    )
+    return QuadRule(np.array(pts), w, 8)
+
+
+def serialize_config(resolved):
+    """Canonical INI text for a resolved configuration."""
+    lines = []
+    for section in sorted(resolved):
+        lines.append(f"[{section}]")
+        for key in sorted(resolved[section]):
+            lines.append(f"{key} = {resolved[section][key]}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 def density_mass_matrix(mesh, u_full, quad=DEFAULT_QUAD):
@@ -160,7 +199,7 @@ def projection_rate_study(smooth):
     else:
         f_tri = np.random.default_rng(7).choice([0.0, 1.0], size=mesh.n_triangles)
         rhs_full = load_triangle_constant(mesh, f_tri)
-    v = factor_symmetric(ops.A, ops.ordering).solve(ops.restrict(rhs_full))
+    v = Factorization(ops.A, ops.ordering).solve(ops.restrict(rhs_full))
     ref_l2, ref_h1 = norms(ops, v)
 
     Hs, errs_h1, errs_l2 = [], [], []

@@ -14,9 +14,10 @@ from gplod.cli import (
     ConfigError,
     main,
     parse_config,
-    serialize_config,
     study_config_from,
 )
+
+from helpers import serialize_config
 
 LAPLACE_CONFIG = """
 [domain]
@@ -293,13 +294,37 @@ def test_preset_resolution(capsys):
 
 @pytest.mark.parametrize(
     "overrides",
-    [["solve.bogus_key=1"], ["solve.localization_radius=3"], ["nosuch.key=1"]],
+    [
+        ["solve.bogus_key=1"],
+        ["solve.localization_radius=3"],
+        ["nosuch.key=1"],
+        ["study.warm_start=true"],
+        ["study.relative_errors=true"],
+    ],
 )
 def test_unknown_config_key_rejected(tmp_path, capsys, overrides):
     code = main(["solve", "--config", "smoke", "--out", str(tmp_path), *overrides])
     captured = capsys.readouterr()
     assert code == USAGE_ERROR
     assert overrides[0].split("=")[0] in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("solve", ["solve.space=lod", "solve.coarse_cells=0"]),
+        ("solve", ["solve.space=coarse_fem", "solve.coarse_cells=12"]),
+        ("solve", ["solve.cells=0"]),
+        ("study", ["study.h_sequence=abc"]),
+        ("study", ["study.h_sequence=0.3"]),
+        ("solve", ["flow.tau=-1"]),
+        ("study", ["study.reference_tol_energy=x"]),
+    ],
+)
+def test_config_value_errors_exit_1(tmp_path, capsys, command, overrides):
+    code = main([command, "--config", "smoke", "--out", str(tmp_path), *overrides])
+    assert code == USAGE_ERROR
+    assert re.search(r"^error: ", capsys.readouterr().err, re.M)
 
 
 def test_unknown_config_key_in_file_rejected():
@@ -333,7 +358,7 @@ def test_config_keys_match_readme_schema():
     "argv",
     [
         ["study", "--out", "x"],  # --config missing
-        ["study", "--config", "smoke", "--relative", "--absolute"],
+        ["study", "--config", "smoke", "--absolute"],  # removed flag
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):

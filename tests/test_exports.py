@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -8,6 +9,17 @@ import pytest
 import gplod
 
 MODULES = ["gplod"] + sorted(m.name for m in pkgutil.iter_modules(gplod.__path__, "gplod."))
+ROOT = Path(__file__).resolve().parent.parent
+# exported for the acceptance suite alone (criteria 4 and 5)
+ACCEPTANCE_ONLY = {"plod_project", "load_triangle_constant", "same_mesh_hierarchy"}
+
+
+def _tracer():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -19,10 +31,7 @@ def test_all_names_resolve(name):
 
 def test_trace_targets_resolve():
     # every function the benchmark's traced runs wrap still exists
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _tracer()
     missing = []
     for module, attr_path, _ in tracer.TARGETS:
         obj = importlib.import_module(f"gplod.{module}")
@@ -31,3 +40,33 @@ def test_trace_targets_resolve():
         if not callable(obj):
             missing.append(f"{module}.{attr_path}")
     assert missing == []
+
+
+def _references(statement):
+    """Names a statement loads or imports."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_exports_are_used_by_the_library():
+    # library code that only tests call is dead weight: every exported name
+    # is used in src/gplod outside its own definition (the __all__ entry is a
+    # string, not a reference), or wrapped by the benchmark's tracer
+    referenced = set()
+    for path in (ROOT / "src" / "gplod").glob("*.py"):
+        for statement in ast.parse(path.read_text()).body:
+            own = getattr(statement, "name", None)
+            referenced |= _references(statement) - {own}
+    traced = {(f"gplod.{m}", attr.split(".")[0]) for m, attr, _ in _tracer().TARGETS}
+    unused = [
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr in getattr(importlib.import_module(name), "__all__", ())
+        if attr not in referenced | ACCEPTANCE_ONLY and (name, attr) not in traced
+    ]
+    assert unused == []

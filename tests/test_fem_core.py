@@ -13,15 +13,13 @@ from gplod.fem_core import (
     mass_matrix,
     norms,
     potential_mass_matrix,
-    quad_degree2,
     quad_degree4,
-    quad_degree8,
     stiffness_matrix,
 )
 from gplod.mesh import build_hierarchy, uniform_mesh
-from gplod.sparse_linalg import factor_symmetric
+from gplod.sparse_linalg import Factorization
 
-from helpers import density_mass_matrix
+from helpers import density_mass_matrix, quad_degree2, quad_degree8
 
 
 @pytest.mark.parametrize("rule", [quad_degree2(), quad_degree4(), quad_degree8()])
@@ -210,14 +208,14 @@ def test_poisson_convergence_oracle(unit_domain):
     mesh_ref = uniform_mesh(unit_domain, ref_cells)
     ops_ref = assemble_operators(mesh_ref, Potential.constant(0.0))
     rhs = ops_ref.restrict(mass_matrix(mesh_ref) @ np.ones(mesh_ref.n_nodes))
-    u_ref = factor_symmetric(ops_ref.K, ops_ref.ordering).solve(rhs)
+    u_ref = Factorization(ops_ref.K, ops_ref.ordering).solve(rhs)
 
     hs, errs_h1, errs_l2 = [], [], []
     for cells in (4, 8, 16):
         hierarchy = build_hierarchy(unit_domain, cells, int(np.log2(ref_cells // cells)))
         ops = assemble_operators(hierarchy.coarse, Potential.constant(0.0))
         rhs_c = ops.restrict(mass_matrix(hierarchy.coarse) @ np.ones(hierarchy.coarse.n_nodes))
-        u = factor_symmetric(ops.K, ops.ordering).solve(rhs_c)
+        u = Factorization(ops.K, ops.ordering).solve(rhs_c)
         e = u_ref - hierarchy.prolongation_interior() @ u
         l2, h1 = norms(ops_ref, e)
         hs.append(1.0 / cells)

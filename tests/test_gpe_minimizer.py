@@ -3,7 +3,7 @@ import pytest
 from scipy import linalg as dense_linalg
 from scipy.sparse.linalg import eigsh
 
-from gplod import gpe_minimizer
+from gplod import gpe_minimizer, sparse_linalg
 from gplod.fem_core import (
     Potential,
     assemble_density_mass,
@@ -26,7 +26,7 @@ from gplod.gpe_minimizer import (
 )
 from gplod.lod_space import build_constraint, compute_correctors
 from gplod.mesh import Rect, build_hierarchy, same_mesh_hierarchy, uniform_mesh
-from gplod.sparse_linalg import factor_symmetric
+from gplod.sparse_linalg import Factorization
 
 from helpers import direct_minimize, direct_shifted_matrix, direct_solve
 
@@ -232,7 +232,7 @@ def test_project_fine_matches_direct_formulas(
     # coarse P1: sparse solve with M_H against P^T M v
     ops_coarse = assemble_operators(small_hierarchy.coarse, small_ops.potential)
     P = small_hierarchy.prolongation_interior()
-    expected = factor_symmetric(ops_coarse.M, ops_coarse.ordering).solve(P.T @ (M @ v))
+    expected = Factorization(ops_coarse.M, ops_coarse.ordering).solve(P.T @ (M @ v))
     got = coarse_fem_space(small_hierarchy, ops_coarse).project_fine(v, M)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
     # fine P1: the identity
@@ -296,9 +296,9 @@ def test_preconditioner_factored_once_per_flow(trap_spaces, monkeypatch):
 
     def counting(A, ordering):
         calls.append(A.shape)
-        return factor_symmetric(A, ordering)
+        return Factorization(A, ordering)
 
-    monkeypatch.setattr(gpe_minimizer, "factor_symmetric", counting)
+    monkeypatch.setattr(sparse_linalg, "Factorization", counting)
     state = minimize(fine_space(ops), V, 100.0)
     assert state.converged and state.steps_taken > 1
     assert calls == [(ops.n_dofs, ops.n_dofs)]

@@ -10,7 +10,6 @@ from gplod.lod_space import (
     load_basis,
     lod_space_cached,
     plod_project,
-    prolong,
     save_basis,
 )
 from gplod.mesh import Rect, build_hierarchy, same_mesh_hierarchy, uniform_mesh
@@ -191,20 +190,6 @@ def test_plod_smooth_source_rates():
 def test_plod_rough_source_rate():
     rates = projection_rate_study(smooth=False)
     assert 1.0 - 0.2 <= rates["h1"] <= 1.0 + 0.2
-
-
-def test_prolong_columns_and_linearity(small_lod, rng):
-    m = small_lod.n_basis
-    e3 = np.zeros(m)
-    e3[3] = 1.0
-    assert np.array_equal(prolong(small_lod, e3), small_lod.basis[:, 3])
-    assert np.array_equal(prolong(small_lod, np.zeros(m)), np.zeros(small_lod.basis.shape[0]))
-    c1, c2 = rng.standard_normal((2, m))
-    assert np.abs(
-        prolong(small_lod, c1 + c2) - prolong(small_lod, c1) - prolong(small_lod, c2)
-    ).max() <= 1e-14
-    with pytest.raises(ValueError):
-        prolong(small_lod, np.zeros(m + 1))
 
 
 def test_cache_round_trip(tmp_path, small_lod, small_hierarchy):

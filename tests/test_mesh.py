@@ -162,7 +162,9 @@ def test_child_map_smallest(unit_domain):
 
 def test_coarse_nodes_are_fine_nodes(trap_domain):
     h = build_hierarchy(trap_domain, 6, 2)
-    idx = h.coarse_node_in_fine()
+    # coarse grid node (iy, ix) is fine grid node (4 iy, 4 ix), row-major
+    iy, ix = np.divmod(np.arange(h.coarse.n_nodes), 6 + 1)
+    idx = (4 * iy) * (24 + 1) + 4 * ix
     assert np.array_equal(h.fine.nodes[idx], h.coarse.nodes)
     # nested nodes carry barycentric weight exactly 1 on one vertex
     w = h.child_bary[idx]

@@ -6,31 +6,31 @@ from scipy.sparse.linalg import splu
 from gplod.fem_core import Potential, assemble_operators
 from gplod.mesh import uniform_mesh
 from gplod.sparse_linalg import (
+    Factorization,
     SingularMatrixError,
     assemble_from_triplets,
-    factor_symmetric,
 )
 
 
 def _factor(A):
     """Factorization in the natural order, for matrices without a mesh."""
-    return factor_symmetric(A, np.arange(A.shape[0]))
+    return Factorization(A, np.arange(A.shape[0]))
 
 
 def test_triplets_duplicates_summed():
-    A = assemble_from_triplets(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
+    A = assemble_from_triplets(2, 2, [0, 0], [0, 0], [1.0, 2.0])
     assert A[0, 0] == 3.0
     assert A.nnz == 1
 
 
 def test_triplets_empty():
-    A = assemble_from_triplets(3, 4, [])
+    A = assemble_from_triplets(3, 4, [], [], [])
     assert A.shape == (3, 4)
     assert A.nnz == 0
 
 
 def test_triplets_symmetric_pattern():
-    A = assemble_from_triplets(2, 2, [(0, 1, 5.0), (1, 0, 5.0)])
+    A = assemble_from_triplets(2, 2, [0, 1], [1, 0], [5.0, 5.0])
     assert A[0, 1] == 5.0 and A[1, 0] == 5.0
 
 
@@ -46,9 +46,9 @@ def test_triplets_order_independent(rng):
 
 def test_triplets_out_of_range():
     with pytest.raises(IndexError):
-        assemble_from_triplets(2, 2, [(2, 0, 1.0)])
+        assemble_from_triplets(2, 2, [2], [0], [1.0])
     with pytest.raises(IndexError):
-        assemble_from_triplets(2, 2, [(0, -1, 1.0)])
+        assemble_from_triplets(2, 2, [0], [-1], [1.0])
 
 
 def test_factor_diagonal():
@@ -74,7 +74,7 @@ def test_factor_rejects_bad_ordering():
     A = sparse.eye(3, format="csr")
     for ordering in ([0, 1], [0, 1, 1], [0, 1, 3]):
         with pytest.raises(ValueError, match="permutation"):
-            factor_symmetric(A, ordering)
+            Factorization(A, ordering)
 
 
 def test_factor_random_spd(rng):
@@ -144,7 +144,7 @@ def test_ordered_solve_matches_colamd(trap_domain, matrix, rng):
     # nested-dissection, pivot-free solves against SuperLU's COLAMD default
     ops = assemble_operators(uniform_mesh(trap_domain, 48), Potential.harmonic())
     H = ops.A if matrix == "A" else ops.M / 0.5 + ops.A
-    fac = factor_symmetric(H, ops.ordering)
+    fac = Factorization(H, ops.ordering)
     reference = splu(H.tocsc())
     block = sparse.random(ops.n_dofs, 8, density=0.05, format="csc", random_state=3)
     for b in (rng.standard_normal(ops.n_dofs), rng.standard_normal((ops.n_dofs, 8)), block):
