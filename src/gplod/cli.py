@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure.
 import argparse
 import configparser
 import json
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -202,6 +203,13 @@ def study_config_from(resolved, out_dir=None, use_cache=True):
     return cfg
 
 
+def _peak_rss_mb():
+    """Peak resident memory of this process so far, in MB (``ru_maxrss`` is
+    in KB on Linux, in bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 def _write_manifest(path, command, config_path, resolved, overrides, outputs, extra=None):
     manifest = {
         "tool": "gplod",
@@ -212,6 +220,7 @@ def _write_manifest(path, command, config_path, resolved, overrides, outputs, ex
         "overrides": list(overrides),
         "resolved_config": resolved,
         "outputs": [str(o) for o in outputs],
+        "peak_rss_mb": _peak_rss_mb(),
     }
     if extra:
         manifest.update(extra)
@@ -234,6 +243,8 @@ def cmd_solve(args):
         space_kind = _get(resolved, "solve", "space", default="fine_fem")
         cells = _get(resolved, "solve", "cells", cast=int)
         beta = _get(resolved, "solve", "beta", cast=float)
+        if beta < 0:
+            raise ConfigError("[solve] beta must be non-negative")
         if space_kind == "fine_fem":
             mesh = uniform_mesh(domain, cells)
         elif space_kind in ("lod", "coarse_fem"):

@@ -7,9 +7,12 @@ One flow step is the semi-implicit backward Euler solve
 where N(u) is the density-weighted mass matrix, reassembled every step on
 the space's nonlinear-assembly mesh (the fine mesh for LOD states).  It is
 applied matrix-free: in an LOD space with basis B, as v -> B^T N (B v), so
-the dense matrix B^T N B is never formed.  Every step is solved by PCG,
-preconditioned by one factorization of the step-independent linear part
-M / tau + A.  The iteration stops when the energy decrease per unit
+the dense matrix B^T N B is never formed.  B itself is an operator
+(``lod_space.CorrectorBasis``), so that product costs two sparse solves
+with the fine matrix A.  Every step is solved by PCG, preconditioned by
+one factorization of the step-independent linear part M / tau + A, and
+started from the previous step's unnormalized solution u~ (from zero at
+the first step).  The iteration stops when the energy decrease per unit
 pseudo-time falls below the tolerance.
 
 In an LOD space, a flow from a profile start (``thomas_fermi`` or
@@ -108,7 +111,7 @@ class DiscreteSpace:
 
     Carries the space-coordinate operators A (stiffness plus potential
     mass) and M, the map onto the nonlinear-assembly mesh (identity for
-    both P1 spaces, the basis matrix for LOD), and the map onto the fine
+    both P1 spaces, the basis operator for LOD), and the map onto the fine
     mesh (the prolongation for coarse P1).  Every space runs the same
     formulas; SPD solves come from ``spd_solver``, which follows the
     operator's storage (sparse, in the nested-dissection order of
@@ -151,7 +154,8 @@ class DiscreteSpace:
 
         The fine density mass is assembled once per call.  P1 spaces get it
         as the sparse matrix; the LOD space gets the operator
-        v -> B^T (N (B v)), O(nm) per product, and B^T N B is never formed.
+        v -> B^T (N (B v)), two solves with A per product, and B^T N B is
+        never formed.
         """
         N = assemble_density_mass(self.ops, self.to_assembly(c))
         B = self.rep_assembly
@@ -177,12 +181,14 @@ class DiscreteSpace:
     def l4_of(self, c):
         return l4_norm4(self.ops.mesh, self.ops.expand(self.to_assembly(c)), self.ops.quad)
 
-    def solve_shifted(self, N, beta, tau, rhs):
+    def solve_shifted(self, N, beta, tau, rhs, x0=None):
         """Solve (M/tau + A + beta N) x = rhs in space coordinates by PCG.
 
         N is what ``nonlinear_matrix`` returns; it is only applied to
         vectors.  The preconditioner is a factorization of M/tau + A, made
-        on the first call with this tau and reused.  Returns
+        on the first call with this tau and reused.  PCG starts from ``x0``
+        (zero if None) and stops at the relative residual target, measured
+        against ``rhs``, whatever the start.  Returns
         ``(x, iterations, info)`` with ``info`` from ``scipy.sparse.linalg.cg``
         (0 when the relative residual reached the target).
         """
@@ -204,6 +210,7 @@ class DiscreteSpace:
         x, info = cg(
             LinearOperator(shape, matvec=product, dtype=float),
             rhs,
+            x0=x0,
             rtol=_PCG_RTOL,
             atol=0.0,
             maxiter=_PCG_MAX_ITERATIONS,
@@ -251,7 +258,8 @@ def thomas_fermi_values(mesh, potential, beta, quad):
 
     For beta = 0 the profile degenerates to the constant-interior vector.
     The chemical potential mu is found by bisection on the exactly
-    integrated mass of the P0/P2 profile max(0, (mu - V)/beta).
+    integrated mass of the P0/P2 profile max(0, (mu - V)/beta), until the
+    midpoint of the bracket equals one of its ends.
     """
     out = np.zeros(mesh.n_nodes)
     interior = ~mesh.boundary_mask
@@ -269,6 +277,8 @@ def thomas_fermi_values(mesh, potential, beta, quad):
     hi = float(vq.max()) + beta / mesh.domain.area + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # no further step can move lo or hi
         if mass(mid) < 1.0:
             lo = mid
         else:
@@ -325,14 +335,16 @@ class _FlowRun:
 
 def _flow(space, u, beta, params):
     """Flow steps in ``space`` from the unit-mass coefficients u until
-    |dE|/tau < tol_energy, max_steps, or a failed inner PCG solve."""
+    |dE|/tau < tol_energy, max_steps, or a failed inner PCG solve.  Each
+    step's PCG starts from the previous step's u~."""
     tau = params.tau
     E = space.energy_of(u, beta)
     run = _FlowRun(u, E, [E], [])
+    u_tilde = None
     for step in range(1, params.max_steps + 1):
         N = space.nonlinear_matrix(u)
         rhs = (space.M @ u) / tau
-        u_tilde, iterations, info = space.solve_shifted(N, beta, tau, rhs)
+        u_tilde, iterations, info = space.solve_shifted(N, beta, tau, rhs, x0=u_tilde)
         if info != 0:
             run.failure = (
                 f"inner PCG solve failed at step {step} after {iterations} "

@@ -7,14 +7,17 @@ is the bilinear-form matrix (stiffness plus potential mass) on the fine
 interior dofs.  With the SPD Schur complement S = C Y and the coarse
 interior mass M_H, the basis
 
-    B = Y S^{-1} M_H
+    B = A^{-1} C^T W,   W = S^{-1} M_H,
 
 satisfies C B = M_H = C P, so the L2 projection of basis function j is
-the j-th coarse hat, and the projected bilinear form has the closed form
+the j-th coarse hat, and the projected operators have the closed forms
 
-    A_lod = B^T A B = M_H S^{-1} M_H.
+    A_lod = B^T A B = M_H W,   M_lod = B^T M B = W^T (Y^T M Y) W.
 
-A is factored once and reused for every column of C^T.
+B is never stored: ``CorrectorBasis`` applies it through the one
+factorization of A, so ``B @ c`` and ``B.T @ v`` each cost one sparse
+solve.  Y exists only inside ``compute_correctors``; a space and its
+cache file hold no array larger than m x m (m coarse interior dofs).
 """
 
 import hashlib
@@ -29,11 +32,12 @@ import numpy as np
 from scipy import sparse
 
 from .fem_core import mass_matrix
-from .sparse_linalg import spd_solver
+from .sparse_linalg import Factorization, spd_solver
 
 __all__ = [
     "CacheMismatchError",
     "ConstraintOperator",
+    "CorrectorBasis",
     "LodSpace",
     "build_constraint",
     "compute_correctors",
@@ -45,7 +49,7 @@ __all__ = [
 ]
 
 _RHS_CHUNK = 256
-_CACHE_FORMAT_VERSION = 2
+_CACHE_FORMAT_VERSION = 3
 
 
 class CacheMismatchError(RuntimeError):
@@ -81,27 +85,65 @@ def build_constraint(hierarchy, M_full=None):
     return ConstraintOperator(C, M_H)
 
 
+class CorrectorBasis:
+    """The n x m LOD basis B = A^{-1} C^T W as an operator.
+
+    ``B @ c`` is one solve with A of C^T (W c), and ``B.T @ v`` is
+    W^T C A^{-1} v (A is symmetric); ``c`` and ``v`` may be vectors or
+    blocks of columns.  It holds the factorization of A, the sparse C and
+    the m x m matrix W, and ``nbytes`` counts their bytes.
+    """
+
+    def __init__(self, factor, C, W):
+        self.factor = factor
+        self.C = C
+        self.W = W
+        self.shape = (C.shape[1], W.shape[1])
+
+    @property
+    def nbytes(self):
+        C = self.C
+        sparse_C = C.data.nbytes + C.indices.nbytes + C.indptr.nbytes
+        return self.factor.nbytes + self.W.nbytes + sparse_C
+
+    def __matmul__(self, c):
+        return self.factor.solve(self.C.T @ (self.W @ c))
+
+    @property
+    def T(self):
+        return _TransposedBasis(self)
+
+
+class _TransposedBasis:
+    """B^T of a ``CorrectorBasis``: v -> W^T C A^{-1} v."""
+
+    def __init__(self, basis):
+        self.basis = basis
+        self.shape = basis.shape[::-1]
+
+    def __matmul__(self, v):
+        B = self.basis
+        return B.W.T @ (B.C @ B.factor.solve(v))
+
+
 @dataclass
 class LodSpace:
     """LOD trial space expressed in fine-mesh P1 coordinates.
 
-    ``basis`` column j holds the fine interior coefficients of the j-th LOD
-    basis function; A_lod and M_lod are the Galerkin-projected bilinear-form
-    and mass matrices B^T A B and B^T M B (dense, since ideal LOD basis
-    functions have global support).  ``timings`` records the factorization
-    and corrector solve seconds when freshly computed.
+    ``basis`` is the ``CorrectorBasis`` B: column j (``basis @ e_j``) holds
+    the fine interior coefficients of the j-th LOD basis function.  A_lod
+    and M_lod are the Galerkin-projected bilinear-form and mass matrices
+    B^T A B and B^T M B (dense, since ideal LOD basis functions have global
+    support).  ``timings`` records the factorization and corrector solve
+    seconds when freshly computed.
     """
 
     hierarchy: object
-    basis: np.ndarray
+    basis: CorrectorBasis
     A_lod: np.ndarray
     M_lod: np.ndarray
     potential_descriptor: str
     timings: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def n_basis(self):
-        return self.basis.shape[1]
 
 
 def _symmetrize(G):
@@ -114,8 +156,11 @@ def compute_correctors(hierarchy, ops_fine, constraint):
 
     ``ops_fine`` must be assembled with the potential that defines the
     bilinear form.  A is factored once, in the nested-dissection order of
-    the fine mesh (``ops_fine.ordering``); Y = A^{-1} C^T is solved in column
-    chunks, then B = Y S^{-1} M_H with S = C Y (see the module docstring).
+    the fine mesh (``ops_fine.ordering``).  Y = A^{-1} C^T is solved in
+    column chunks, then S = C Y and, chunk by chunk, G = Y^T M Y; then
+    W = S^{-1} M_H, A_lod = M_H W and M_lod = W^T G W (see the module
+    docstring), and Y is dropped: the returned basis applies B through the
+    factorization.
     """
     A = ops_fine.A
     C = constraint.C
@@ -126,22 +171,25 @@ def compute_correctors(hierarchy, ops_fine, constraint):
 
     timings = {}
     t0 = time.perf_counter()
-    solve_A = spd_solver(A, ops_fine.ordering)
+    factor = Factorization(A, ops_fine.ordering)
     timings["factor_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     Ct = C.T.tocsc()
     Y = np.empty((n, m))
-    for lo in range(0, m, _RHS_CHUNK):
-        hi = min(lo + _RHS_CHUNK, m)
-        Y[:, lo:hi] = solve_A(Ct[:, lo:hi])
-    W = spd_solver(_symmetrize(C @ Y))(constraint.coarse_mass.toarray())  # S^{-1} M_H
-    B = Y @ W
-    del Y  # free one dense n x m array before M @ B allocates another
+    chunks = [(lo, min(lo + _RHS_CHUNK, m)) for lo in range(0, m, _RHS_CHUNK)]
+    for lo, hi in chunks:
+        Y[:, lo:hi] = factor.solve(Ct[:, lo:hi])
+    S = C @ Y
+    G = np.empty((m, m))
+    for lo, hi in chunks:  # M Y one chunk at a time, never n x m at once
+        G[:, lo:hi] = Y.T @ (ops_fine.M @ Y[:, lo:hi])
+    del Y
+    W = spd_solver(_symmetrize(S))(constraint.coarse_mass.toarray())  # S^{-1} M_H
     A_lod = _symmetrize(constraint.coarse_mass @ W)
+    M_lod = _symmetrize(W.T @ _symmetrize(G) @ W)
     timings["solve_s"] = time.perf_counter() - t0
-
-    M_lod = _symmetrize(B.T @ (ops_fine.M @ B))
-    return LodSpace(hierarchy, B, A_lod, M_lod, ops_fine.potential.descriptor(), timings)
+    basis = CorrectorBasis(factor, C, W)
+    return LodSpace(hierarchy, basis, A_lod, M_lod, ops_fine.potential.descriptor(), timings)
 
 
 def plod_project(space, ops_fine, v_fine):
@@ -176,7 +224,7 @@ def cache_key(domain, coarse_cells, refinements, potential_descriptor):
 
 
 def save_basis(space, path):
-    """Persist the basis and projected operators with a validating header.
+    """Persist W and the projected operators with a validating header.
 
     The file is written under a temporary name in the same directory and
     renamed onto ``path``, so a reader never sees a partial file and a
@@ -195,7 +243,7 @@ def save_basis(space, path):
                 coarse_cells=np.int64(h.coarse.cells_per_side),
                 refinements=np.int64(h.refinements),
                 potential=np.array(space.potential_descriptor),
-                basis=space.basis,
+                W=space.basis.W,
                 A_lod=space.A_lod,
                 M_lod=space.M_lod,
             )
@@ -205,8 +253,13 @@ def save_basis(space, path):
         raise
 
 
-def load_basis(path, hierarchy, potential_descriptor):
-    """Load a cached LodSpace, validating the header before reuse."""
+def load_basis(path, hierarchy, ops_fine):
+    """Load a cached LodSpace, validating the header before reuse.
+
+    The file holds W, A_lod and M_lod; A (from ``ops_fine``) is factored
+    again and C rebuilt to apply the basis.
+    """
+    potential_descriptor = ops_fine.potential.descriptor()
     try:
         with np.load(path) as data:
             if int(data["format_version"]) != _CACHE_FORMAT_VERSION:
@@ -220,17 +273,18 @@ def load_basis(path, hierarchy, potential_descriptor):
                 or str(data["potential"]) != potential_descriptor
             ):
                 raise CacheMismatchError("cache header does not match the configuration")
-            basis = data["basis"]
+            W = data["W"]
             A_lod = data["A_lod"]
             M_lod = data["M_lod"]
     except CacheMismatchError:
         raise
     except Exception as exc:
         raise CacheMismatchError(f"unreadable corrector cache: {exc}") from exc
-    n_fi = hierarchy.fine.n_interior
-    n_ci = hierarchy.coarse.n_interior
-    if basis.shape != (n_fi, n_ci):
-        raise CacheMismatchError(f"cached basis shape {basis.shape} != {(n_fi, n_ci)}")
+    m = hierarchy.coarse.n_interior
+    if any(G.shape != (m, m) for G in (W, A_lod, M_lod)):
+        raise CacheMismatchError(f"cached matrices are not {m} x {m}")
+    C = build_constraint(hierarchy, ops_fine.M_full).C
+    basis = CorrectorBasis(Factorization(ops_fine.A, ops_fine.ordering), C, W)
     return LodSpace(hierarchy, basis, A_lod, M_lod, potential_descriptor)
 
 
@@ -255,7 +309,7 @@ def lod_space_cached(hierarchy, ops_fine, cache_dir=None):
         path = Path(cache_dir) / f"correctors_{key}.npz"
         if path.exists():
             try:
-                return load_basis(path, hierarchy, descriptor), True
+                return load_basis(path, hierarchy, ops_fine), True
             except CacheMismatchError as exc:
                 warnings.warn(f"rebuilding correctors, cache at {path} unusable: {exc}")
     constraint = build_constraint(hierarchy, ops_fine.M_full)

@@ -5,7 +5,8 @@ positive definite, and the one sparse factorization is SuperLU without
 pivoting in a caller-given symmetric ordering (the nested-dissection order
 of the mesh's interior dofs, ``mesh.nested_dissection``).  It is reused
 across many right-hand sides.  ``spd_solver`` is the one way the library
-gets a solve for an SPD matrix, sparse or dense.
+gets a solve for an SPD matrix, sparse or dense; only the LOD basis, which
+reports the bytes of its factor, keeps a ``Factorization`` itself.
 """
 
 import numpy as np
@@ -93,6 +94,15 @@ class Factorization:
                 f"(matrix scale {scale:.3e})"
             )
         self._order = order
+
+    @property
+    def nbytes(self):
+        """Bytes held: SuperLU's stored entries (8-byte values, 4-byte
+        indices), the CSC copy of U that reading the pivots cached on the
+        factor, and the ordering."""
+        U = self._lu.U  # the cached copy, not a new one
+        copy_of_U = U.data.nbytes + U.indices.nbytes + U.indptr.nbytes
+        return 12 * int(self._lu.nnz) + copy_of_U + self._order.nbytes
 
     def solve(self, b):
         """Solution of A x = b for a vector or a block of columns.

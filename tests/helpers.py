@@ -19,11 +19,12 @@ from gplod.fem_core import (
     eigenvalue_from_state,
     load_triangle_constant,
     norms,
+    potential_at_quadrature,
 )
 from gplod.gpe_minimizer import _initial_coefficients
 from gplod.lod_space import build_constraint, compute_correctors, plod_project
 from gplod.mesh import Rect, build_hierarchy, uniform_mesh
-from gplod.sparse_linalg import Factorization
+from gplod.sparse_linalg import Factorization, spd_solver
 
 
 def canonical_triangles(triangles):
@@ -86,6 +87,59 @@ def density_mass_matrix(mesh, u_full, quad=DEFAULT_QUAD):
     return _scatter(mesh, _density_local(mesh, u_full, quad))
 
 
+def basis_columns(basis, columns=None):
+    """Columns of an LOD basis operator as a dense array: ``basis @ e_j``
+    for each j in ``columns`` (every column if None)."""
+    E = np.eye(basis.shape[1])
+    return basis @ (E if columns is None else E[:, columns])
+
+
+def dense_correctors(hierarchy, ops, constraint):
+    """Reference LOD basis and projected operators built densely.
+
+    Y = A^{-1} C^T, W = S^{-1} M_H with S = C Y, the stored n x m basis
+    B = Y W, A_lod = M_H W and M_lod = B^T (M B), both symmetrized: the
+    build that the basis operator replaced.  Returns (B, A_lod, M_lod).
+    """
+    C = constraint.C
+    Y = Factorization(ops.A, ops.ordering).solve(C.T)
+    S = C @ Y
+    W = spd_solver(0.5 * (S + S.T))(constraint.coarse_mass.toarray())
+    B = Y @ W
+    A_lod = constraint.coarse_mass @ W
+    M_lod = B.T @ (ops.M @ B)
+    return B, 0.5 * (A_lod + A_lod.T), 0.5 * (M_lod + M_lod.T)
+
+
+def thomas_fermi_values_200(mesh, potential, beta, quad):
+    """``thomas_fermi_values`` with all 200 bisection steps and no early
+    stop: the reference that pins the stop on a collapsed bracket."""
+    out = np.zeros(mesh.n_nodes)
+    interior = ~mesh.boundary_mask
+    if beta <= 0.0:
+        out[interior] = 1.0
+        return out
+    vq = potential_at_quadrature(mesh, potential, quad)
+    wq = quad.weights
+
+    def mass(mu):
+        dens = np.maximum(0.0, (mu - vq) / beta)
+        return float(np.einsum("t,q,tq->", mesh.areas, wq, dens))
+
+    lo = float(vq.min())
+    hi = float(vq.max()) + beta / mesh.domain.area + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mass(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    mu = 0.5 * (lo + hi)
+    vn = potential.values(mesh.nodes[:, 0], mesh.nodes[:, 1], mesh.domain)
+    out[interior] = np.sqrt(np.maximum(0.0, (mu - vn[interior]) / beta))
+    return out
+
+
 def saddle_correctors(hierarchy, ops, constraint):
     """Reference LOD basis and projected operators from the saddle problems.
 
@@ -116,8 +170,8 @@ def direct_shifted_matrix(space, c, beta, tau):
     """M/tau + A + beta N(u) formed explicitly: the sparse sum for P1 spaces,
     the dense matrix with the symmetrized projection B^T N B for LOD spaces."""
     N = assemble_density_mass(space.ops, space.to_assembly(c))
-    B = space.rep_assembly
-    if B is not None:
+    if space.rep_assembly is not None:
+        B = basis_columns(space.rep_assembly)
         G = B.T @ (N @ B)
         N = 0.5 * (G + G.T)
     return space.M / tau + space.A + beta * N

@@ -319,6 +319,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys, overrides):
         ("study", ["study.h_sequence=0.3"]),
         ("solve", ["flow.tau=-1"]),
         ("study", ["study.reference_tol_energy=x"]),
+        ("solve", ["solve.beta=-1"]),
     ],
 )
 def test_config_value_errors_exit_1(tmp_path, capsys, command, overrides):
@@ -366,6 +367,16 @@ def test_usage_errors_exit_1(argv, capsys):
         main(argv)
     assert info.value.code == USAGE_ERROR
     assert "error" in capsys.readouterr().err
+
+
+def test_manifests_record_peak_rss(tmp_path, capsys):
+    assert main(["solve", "--config", "smoke", "--out", str(tmp_path)]) == 0
+    assert main(["study", "--config", "smoke", "--out", str(tmp_path)]) == 0
+    assert main(["correctors", "--config", "smoke", "--out", str(tmp_path)]) == 0
+    for name in ("solve", "study", "correctors"):
+        manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+        peak = manifest["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0
 
 
 def test_study_no_cache_creates_no_correctors_dir(tmp_path, capsys):

@@ -28,7 +28,12 @@ from gplod.lod_space import build_constraint, compute_correctors
 from gplod.mesh import Rect, build_hierarchy, same_mesh_hierarchy, uniform_mesh
 from gplod.sparse_linalg import Factorization
 
-from helpers import direct_minimize, direct_shifted_matrix, direct_solve
+from helpers import (
+    direct_minimize,
+    direct_shifted_matrix,
+    direct_solve,
+    thomas_fermi_values_200,
+)
 
 
 def _laplace_setup(cells):
@@ -181,6 +186,43 @@ def test_thomas_fermi_profile(trap_domain):
     assert np.abs(profile[inside] - expected).max() <= 1e-3
 
 
+def test_thomas_fermi_bisection_stops_on_collapsed_bracket(trap_domain, monkeypatch):
+    # the early stop leaves the profile bit-identical to 200 bisection steps
+    mesh = uniform_mesh(trap_domain, 48)
+    V = Potential.harmonic()
+    quad = assemble_operators(mesh, V).quad
+    expected = thomas_fermi_values_200(mesh, V, 100.0, quad)
+    einsum = np.einsum
+    evaluations = []
+
+    def counting(subscripts, *operands, **kwargs):
+        evaluations.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    profile = thomas_fermi_values(mesh, V, 100.0, quad)
+    monkeypatch.undo()
+    assert np.array_equal(profile, expected)
+    assert 0 < evaluations.count("t,q,tq->") <= 64
+
+
+def test_warm_started_pcg_takes_fewer_iterations(trap_domain):
+    # each step's PCG starts from the previous u~: fewer inner iterations in
+    # total than from zero, the same steps and the same energy
+    mesh = uniform_mesh(trap_domain, 24)
+    V = Potential.harmonic()
+    space = fine_space(assemble_operators(mesh, V))
+    warm = minimize(space, V, 100.0)
+    cold_solve = space.solve_shifted
+    space.solve_shifted = lambda N, beta, tau, rhs, x0=None: cold_solve(N, beta, tau, rhs)
+    cold = minimize(space, V, 100.0)
+    assert warm.converged and cold.converged
+    assert warm.steps_taken == cold.steps_taken > 2
+    assert warm.inner_iterations.sum() < cold.inner_iterations.sum()
+    assert warm.inner_iterations[0] == cold.inner_iterations[0]
+    assert abs(warm.energy - cold.energy) <= 1e-12 * abs(cold.energy)
+
+
 def test_hat_blob(unit_domain):
     mesh = uniform_mesh(unit_domain, 8)
     blob = hat_blob_values(mesh)
@@ -309,7 +351,7 @@ def test_inner_solve_failure_reported(trap_domain, trap_spaces, monkeypatch):
     V, spaces = trap_spaces
     lod = spaces["lod"]
     with monkeypatch.context() as patch:
-        patch.setattr(lod, "solve_shifted", lambda N, beta, tau, rhs: (rhs, 1, 1))
+        patch.setattr(lod, "solve_shifted", lambda N, beta, tau, rhs, x0=None: (rhs, 1, 1))
         state = minimize(lod, V, 100.0)
     assert not state.converged
     assert state.message.startswith("exact phase: inner PCG solve failed at step 1 after 1")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gplod.fem_core import Potential, assemble_operators, mass_matrix
+from gplod.fem_core import Potential, assemble_density_mass, assemble_operators, mass_matrix
 from gplod.lod_space import (
     CacheMismatchError,
     build_constraint,
@@ -15,7 +15,9 @@ from gplod.lod_space import (
 from gplod.mesh import Rect, build_hierarchy, same_mesh_hierarchy, uniform_mesh
 
 from helpers import (
+    basis_columns,
     coarse_element_adjacency,
+    dense_correctors,
     constrained_random,
     projection_rate_study,
     saddle_correctors,
@@ -72,7 +74,8 @@ def test_l2_orthogonal_splitting(small_hierarchy, small_ops, small_constraint, r
 
 
 def test_basis_dimension_and_rank(small_lod, small_hierarchy):
-    B = small_lod.basis
+    B = basis_columns(small_lod.basis)
+    assert small_lod.basis.shape == B.shape
     assert B.shape == (small_hierarchy.fine.n_interior, small_hierarchy.coarse.n_interior)
     assert np.linalg.matrix_rank(B) == B.shape[1]
 
@@ -81,7 +84,7 @@ def test_basis_constraint_identity(small_lod, small_hierarchy, small_constraint)
     # P_H of each LOD basis function is the matching coarse hat: C B = C P
     C = small_constraint.C
     P = small_hierarchy.prolongation_interior()
-    assert np.abs(C @ small_lod.basis - C @ P.toarray()).max() <= 1e-9
+    assert np.abs(C @ basis_columns(small_lod.basis) - C @ P.toarray()).max() <= 1e-9
 
 
 def test_a_orthogonality(small_lod, small_ops, small_constraint, rng):
@@ -91,7 +94,7 @@ def test_a_orthogonality(small_lod, small_ops, small_constraint, rng):
         w = constrained_random(small_constraint, rng)
         wa = np.sqrt(w @ (A @ w))
         for j in (0, B.shape[1] // 2, B.shape[1] - 1):
-            b = B[:, j]
+            b = basis_columns(B, j)
             ba = np.sqrt(b @ (A @ b))
             assert abs(w @ (A @ b)) <= 1e-8 * wa * ba
 
@@ -110,7 +113,16 @@ def test_correctors_vanish_when_fine_scale_trivial(unit_domain):
     hierarchy = same_mesh_hierarchy(mesh)
     constraint = build_constraint(hierarchy, ops.M_full)
     space = compute_correctors(hierarchy, ops, constraint)
-    assert np.abs(space.basis - np.eye(mesh.n_interior)).max() <= 1e-9
+    assert np.abs(basis_columns(space.basis) - np.eye(mesh.n_interior)).max() <= 1e-9
+
+
+def _lod_case(case, small_hierarchy, small_ops, small_constraint, trap_domain):
+    """(hierarchy, fine operators, constraint) of the small or the harmonic case."""
+    if case == "small":
+        return small_hierarchy, small_ops, small_constraint
+    hierarchy = build_hierarchy(trap_domain, 12, 2)
+    ops = assemble_operators(hierarchy.fine, Potential.harmonic())
+    return hierarchy, ops, build_constraint(hierarchy, ops.M_full)
 
 
 @pytest.mark.parametrize("case", ["small", "harmonic"])
@@ -118,16 +130,58 @@ def test_schur_matches_saddle_reference(
     case, small_hierarchy, small_ops, small_constraint, trap_domain
 ):
     # the Schur-form basis and operators against the corrector saddle solves
-    if case == "small":
-        hierarchy, ops, constraint = small_hierarchy, small_ops, small_constraint
-    else:
-        hierarchy = build_hierarchy(trap_domain, 12, 2)
-        ops = assemble_operators(hierarchy.fine, Potential.harmonic())
-        constraint = build_constraint(hierarchy, ops.M_full)
+    hierarchy, ops, constraint = _lod_case(
+        case, small_hierarchy, small_ops, small_constraint, trap_domain
+    )
     space = compute_correctors(hierarchy, ops, constraint)
     reference = saddle_correctors(hierarchy, ops, constraint)
-    for got, ref in zip((space.basis, space.A_lod, space.M_lod), reference):
+    for got, ref in zip((basis_columns(space.basis), space.A_lod, space.M_lod), reference):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", ["small", "harmonic"])
+def test_basis_operator_matches_dense_oracle(
+    case, small_hierarchy, small_ops, small_constraint, trap_domain, rng
+):
+    # B @ c, B.T @ v, the density product, A_lod and M_lod against the dense
+    # build (B = Y W stored, M_lod = B^T M B)
+    hierarchy, ops, constraint = _lod_case(
+        case, small_hierarchy, small_ops, small_constraint, trap_domain
+    )
+    space = compute_correctors(hierarchy, ops, constraint)
+    B, A_lod, M_lod = dense_correctors(hierarchy, ops, constraint)
+    m = B.shape[1]
+    c, v = rng.standard_normal(m), rng.standard_normal(ops.n_dofs)
+    block = rng.standard_normal((m, 3))
+    N = assemble_density_mass(ops, B @ rng.random(m))
+    pairs = [
+        (space.basis @ c, B @ c),
+        (space.basis @ block, B @ block),
+        (space.basis.T @ v, B.T @ v),
+        (space.basis.T @ (N @ (space.basis @ c)), B.T @ (N @ (B @ c))),
+        (space.A_lod, A_lod),
+        (space.M_lod, M_lod),
+    ]
+    for got, ref in pairs:
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_no_n_by_m_array_outlives_the_build(tmp_path, small_lod, small_hierarchy):
+    # the space, its basis operator and its cache file hold m x m matrices,
+    # vectors and sparse factors, but no dense n x m array
+    m = small_hierarchy.coarse.n_interior
+    n = small_hierarchy.fine.n_interior
+    basis = small_lod.basis
+    held = [*vars(small_lod).values(), *vars(basis).values(), *vars(basis.factor).values()]
+    path = tmp_path / "basis.npz"
+    save_basis(small_lod, path)
+    with np.load(path) as data:
+        held += [data[key] for key in data.files]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert any(a.shape == (m, m) for a in arrays)
+    for a in arrays:
+        assert a.ndim <= 1 and a.size <= n or a.shape == (m, m)
+    assert basis.nbytes > basis.W.nbytes
 
 
 def test_exponential_decay(unit_domain):
@@ -140,7 +194,7 @@ def test_exponential_decay(unit_domain):
     coarse = hierarchy.coarse
     ci = coarse.interior_nodes()
     center = int(np.argmin(np.linalg.norm(coarse.nodes[ci] - [0.5, 0.5], axis=1)))
-    b = space.basis[:, center]
+    b = basis_columns(space.basis, center)
     A = ops.A
 
     adjacency = coarse_element_adjacency(coarse)
@@ -167,7 +221,7 @@ def test_exponential_decay(unit_domain):
 
 
 def test_plod_idempotent(small_lod, small_ops, rng):
-    c0 = rng.standard_normal(small_lod.n_basis)
+    c0 = rng.standard_normal(small_lod.basis.shape[1])
     v = small_lod.basis @ c0
     c = plod_project(small_lod, small_ops, v)
     assert np.abs(c - c0).max() <= 1e-10
@@ -192,34 +246,36 @@ def test_plod_rough_source_rate():
     assert 1.0 - 0.2 <= rates["h1"] <= 1.0 + 0.2
 
 
-def test_cache_round_trip(tmp_path, small_lod, small_hierarchy):
+def test_cache_round_trip(tmp_path, small_lod, small_hierarchy, small_ops):
     path = tmp_path / "basis.npz"
     save_basis(small_lod, path)
-    loaded = load_basis(path, small_hierarchy, small_lod.potential_descriptor)
-    assert np.array_equal(loaded.basis, small_lod.basis)
+    loaded = load_basis(path, small_hierarchy, small_ops)
+    assert np.array_equal(basis_columns(loaded.basis), basis_columns(small_lod.basis))
     assert np.array_equal(loaded.A_lod, small_lod.A_lod)
+    assert np.array_equal(loaded.M_lod, small_lod.M_lod)
 
 
 def test_cache_header_mismatch(tmp_path, small_lod, small_hierarchy):
     path = tmp_path / "basis.npz"
     save_basis(small_lod, path)
+    other = assemble_operators(small_hierarchy.fine, Potential.constant(2.0))
     with pytest.raises(CacheMismatchError):
-        load_basis(path, small_hierarchy, "constant(2.0)")
+        load_basis(path, small_hierarchy, other)
 
 
-def test_cache_corrupted_file(tmp_path, small_lod, small_hierarchy):
+def test_cache_corrupted_file(tmp_path, small_lod, small_hierarchy, small_ops):
     path = tmp_path / "basis.npz"
     save_basis(small_lod, path)
     path.write_bytes(path.read_bytes()[:100])
     with pytest.raises(CacheMismatchError):
-        load_basis(path, small_hierarchy, small_lod.potential_descriptor)
+        load_basis(path, small_hierarchy, small_ops)
 
 
 def test_lod_space_cached(tmp_path, small_hierarchy, small_ops):
     space1, hit1 = lod_space_cached(small_hierarchy, small_ops, cache_dir=tmp_path)
     space2, hit2 = lod_space_cached(small_hierarchy, small_ops, cache_dir=tmp_path)
     assert not hit1 and hit2
-    assert np.array_equal(space1.basis, space2.basis)
+    assert np.array_equal(basis_columns(space1.basis), basis_columns(space2.basis))
     # potential change invalidates the key
     key_a = cache_key(Rect(0, 1, 0, 1), 4, 2, "harmonic")
     key_b = cache_key(Rect(0, 1, 0, 1), 4, 2, "constant(1.0)")
@@ -238,39 +294,46 @@ def test_cache_distinct_callables(tmp_path, small_hierarchy):
         constraint = build_constraint(small_hierarchy, ops.M_full)
         fresh = compute_correctors(small_hierarchy, ops, constraint)
         assert not hit
-        assert np.abs(space.basis - fresh.basis).max() <= 1e-12
-        bases.append(space.basis)
+        basis = basis_columns(space.basis)
+        assert np.abs(basis - basis_columns(fresh.basis)).max() <= 1e-12
+        bases.append(basis)
     assert np.abs(bases[0] - bases[1]).max() > 1e-3
 
 
 def test_cache_old_format_rebuilt(tmp_path, small_hierarchy, small_ops, small_lod):
-    # a format-1 file (with its localization_radius header field) is never loaded
+    # a format-2 file (it stored the dense basis) is never loaded, and the
+    # rebuild writes a format-3 file of m x m matrices in its place
     space, _ = lod_space_cached(small_hierarchy, small_ops, cache_dir=tmp_path)
     (path,) = tmp_path.glob("correctors_*.npz")
     dom = small_hierarchy.coarse.domain
     np.savez(
         path,
-        format_version=np.int64(1),
+        format_version=np.int64(2),
         domain=np.array([dom.xmin, dom.xmax, dom.ymin, dom.ymax]),
         coarse_cells=np.int64(small_hierarchy.coarse.cells_per_side),
         refinements=np.int64(small_hierarchy.refinements),
         potential=np.array(small_lod.potential_descriptor),
-        localization_radius=np.int64(-1),
-        basis=np.zeros_like(space.basis),
+        basis=basis_columns(space.basis),
         A_lod=space.A_lod,
         M_lod=space.M_lod,
     )
-    with pytest.raises(CacheMismatchError):
-        load_basis(path, small_hierarchy, small_lod.potential_descriptor)
+    with pytest.raises(CacheMismatchError, match="version"):
+        load_basis(path, small_hierarchy, small_ops)
     with pytest.warns(UserWarning, match="rebuilding correctors"):
         rebuilt, hit = lod_space_cached(small_hierarchy, small_ops, cache_dir=tmp_path)
     assert not hit
-    assert np.array_equal(rebuilt.basis, space.basis)
-    reloaded = load_basis(path, small_hierarchy, small_lod.potential_descriptor)
-    assert np.array_equal(reloaded.basis, space.basis)
+    assert np.array_equal(rebuilt.basis.W, space.basis.W)
+    with np.load(path) as data:
+        assert int(data["format_version"]) == 3
+        assert "basis" not in data.files
+    reloaded, hit = lod_space_cached(small_hierarchy, small_ops, cache_dir=tmp_path)
+    assert hit
+    assert np.array_equal(basis_columns(reloaded.basis), basis_columns(space.basis))
 
 
-def test_cache_failed_save_keeps_previous_file(tmp_path, small_lod, small_hierarchy, monkeypatch):
+def test_cache_failed_save_keeps_previous_file(
+    tmp_path, small_lod, small_hierarchy, small_ops, monkeypatch
+):
     path = tmp_path / "basis.npz"
     save_basis(small_lod, path)
 
@@ -285,6 +348,6 @@ def test_cache_failed_save_keeps_previous_file(tmp_path, small_lod, small_hierar
     with pytest.raises(OSError):
         save_basis(small_lod, path)
     monkeypatch.undo()
-    loaded = load_basis(path, small_hierarchy, small_lod.potential_descriptor)
-    assert np.array_equal(loaded.basis, small_lod.basis)
+    loaded = load_basis(path, small_hierarchy, small_ops)
+    assert np.array_equal(loaded.basis.W, small_lod.basis.W)
     assert [p.name for p in tmp_path.iterdir()] == ["basis.npz"]
