@@ -1,11 +1,16 @@
 """P1 finite-element assembly: stiffness, mass, weighted masses, energies.
 
+Every operator is assembled on the interior (non-boundary) dofs only, by
+one path: its (t, 9) element entries are summed into the ``data`` of one
+interior CSR pattern, built once per mesh by ``assemble_operators``.  No
+full-node matrix is formed.
+
 The default quadrature is a symmetric 6-point degree-4 triangle rule.  The
 quartic density term of a P1 function is a degree-4 polynomial, as is the
 harmonic-potential mass integrand, so both are integrated exactly and
 quadrature drops out of the error budget.  Checkerboard potentials are
-piecewise constant per triangle (meshes must align with the squares) and
-are integrated exactly through the closed-form element mass matrix.
+piecewise constant per triangle (meshes must align with the squares), so
+the same rule integrates them exactly too.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +19,6 @@ import numpy as np
 from scipy import sparse
 
 from .mesh import nested_dissection
-from .sparse_linalg import assemble_from_triplets
 
 __all__ = [
     "AssemblyError",
@@ -22,9 +26,6 @@ __all__ = [
     "quad_degree4",
     "Potential",
     "FeOperators",
-    "stiffness_matrix",
-    "mass_matrix",
-    "potential_mass_matrix",
     "assemble_operators",
     "assemble_density_mass",
     "energy",
@@ -77,15 +78,14 @@ DEFAULT_QUAD = quad_degree4()
 
 
 class Potential:
-    """Trapping potential V >= 0: constant, harmonic, checkerboard, or callable."""
+    """Trapping potential V >= 0: constant, harmonic, or checkerboard."""
 
-    def __init__(self, kind, value=None, square_side=None, low=None, high=None, func=None):
+    def __init__(self, kind, value=None, square_side=None, low=None, high=None):
         self.kind = kind
         self.value = value
         self.square_side = square_side
         self.low = low
         self.high = high
-        self.func = func
 
     @classmethod
     def constant(cls, value):
@@ -107,10 +107,6 @@ class Potential:
             raise AssemblyError("checkerboard values must be non-negative")
         return cls("checkerboard", square_side=float(square_side), low=float(low), high=float(high))
 
-    @classmethod
-    def from_callable(cls, func):
-        return cls("callable", func=func)
-
     @property
     def piecewise_constant(self):
         return self.kind in ("constant", "checkerboard")
@@ -120,8 +116,6 @@ class Potential:
             return np.full(np.shape(x), self.value)
         if self.kind == "harmonic":
             return 0.5 * (np.asarray(x) ** 2 + np.asarray(y) ** 2)
-        if self.kind == "callable":
-            return np.asarray(self.func(x, y), dtype=float)
         if self.kind == "checkerboard":
             if domain is None:
                 raise AssemblyError("checkerboard evaluation needs the domain anchor")
@@ -136,30 +130,30 @@ class Potential:
         return self.values(centroids[:, 0], centroids[:, 1], mesh.domain)
 
     def check_alignment(self, mesh):
-        """Checkerboard squares must be unions of mesh cells."""
+        """Checkerboard squares must be unions of mesh cells, in x and in y."""
         if self.kind != "checkerboard":
             return
-        ratio = self.square_side / mesh.cell_side
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise AssemblyError(
-                f"checkerboard square side {self.square_side} is not an integer "
-                f"multiple of the mesh cell side {mesh.cell_side}"
-            )
-        nsq = mesh.domain.width / self.square_side
-        if abs(nsq - round(nsq)) > 1e-9:
-            raise AssemblyError(
-                f"domain width {mesh.domain.width} is not an integer number of "
-                f"checkerboard squares of side {self.square_side}"
-            )
+        for direction, extent in (("width", mesh.domain.width), ("height", mesh.domain.height)):
+            cell = extent / mesh.cells_per_side
+            ratio = self.square_side / cell
+            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+                raise AssemblyError(
+                    f"checkerboard square side {self.square_side} is not an integer "
+                    f"multiple of the mesh cell {direction} {cell}"
+                )
+            nsq = extent / self.square_side
+            if abs(nsq - round(nsq)) > 1e-9:
+                raise AssemblyError(
+                    f"domain {direction} {extent} is not an integer number of "
+                    f"checkerboard squares of side {self.square_side}"
+                )
 
     def descriptor(self):
         if self.kind == "constant":
             return f"constant({self.value!r})"
         if self.kind == "harmonic":
             return "harmonic"
-        if self.kind == "checkerboard":
-            return f"checkerboard(side={self.square_side!r},low={self.low!r},high={self.high!r})"
-        return f"callable({getattr(self.func, '__name__', 'anonymous')})"
+        return f"checkerboard(side={self.square_side!r},low={self.low!r},high={self.high!r})"
 
     def __repr__(self):
         return f"Potential({self.descriptor()})"
@@ -181,28 +175,18 @@ def _tri_geometry(mesh):
     return grads
 
 
-def _scatter(mesh, local):
-    """Assemble per-triangle 3x3 blocks into a full-node CSR matrix."""
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    return assemble_from_triplets(mesh.n_nodes, mesh.n_nodes, rows, cols, local.ravel())
-
-
 _MASS_REF = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
 
 
-def stiffness_matrix(mesh):
-    """Full-node stiffness: exact element integrals of grad phi_i . grad phi_j."""
+def _stiffness_local(mesh):
+    """Element entries of the stiffness: exact integrals of grad phi_i . grad phi_j."""
     grads = _tri_geometry(mesh)
-    local = np.einsum("tid,tjd->tij", grads, grads) * mesh.areas[:, None, None]
-    return _scatter(mesh, local)
+    return np.einsum("tid,tjd->tij", grads, grads) * mesh.areas[:, None, None]
 
 
-def mass_matrix(mesh):
-    """Full-node mass matrix via the closed-form P1 element matrix."""
-    local = mesh.areas[:, None, None] * _MASS_REF[None, :, :]
-    return _scatter(mesh, local)
+def _mass_local(mesh):
+    """Element entries of the mass: the closed-form P1 element matrix."""
+    return mesh.areas[:, None, None] * _MASS_REF[None, :, :]
 
 
 def quad_points_xy(mesh, quad):
@@ -222,47 +206,72 @@ def potential_at_quadrature(mesh, potential, quad):
     return potential.values(xy[..., 0], xy[..., 1], mesh.domain)
 
 
-def _weighted_mass(mesh, weights_tq, quad):
-    """Full-node matrix of integrals w(x) phi_i phi_j with w given at quad points."""
+def _weighted_local(mesh, weights_tq, quad):
+    """Element entries of the integrals w(x) phi_i phi_j, (t, 9) with column
+    3 i + j, for w given at the quadrature points."""
     lam = quad.points
-    local = np.einsum("tq,q,qi,qj->tij", weights_tq, quad.weights, lam, lam)
-    return _scatter(mesh, local * mesh.areas[:, None, None])
+    outer = quad.weights[:, None] * (lam[:, :, None] * lam[:, None, :]).reshape(-1, 9)
+    return (weights_tq * mesh.areas[:, None]) @ outer
 
 
-def potential_mass_matrix(mesh, potential, quad=DEFAULT_QUAD):
-    """Full-node potential-weighted mass; exact for harmonic and aligned
-    checkerboard potentials."""
+def _potential_local(mesh, potential, quad):
+    """Element entries of the potential-weighted mass; exact for harmonic and
+    aligned checkerboard potentials."""
     potential.check_alignment(mesh)
-    if potential.piecewise_constant:
-        vt = potential.triangle_values(mesh)
-        if vt.min() < 0:
-            raise AssemblyError(f"negative potential sample {vt.min()}")
-        local = (vt * mesh.areas)[:, None, None] * _MASS_REF[None, :, :]
-        return _scatter(mesh, local)
     vq = potential_at_quadrature(mesh, potential, quad)
-    if vq.min() < -1e-12:
+    if vq.min() < 0:
         raise AssemblyError(f"negative potential sample {vq.min()}")
-    return _weighted_mass(mesh, vq, quad)
+    return _weighted_local(mesh, vq, quad)
 
 
 def _density_local(mesh, u_full, quad):
-    """Element entries of the density mass, (t, 9) with column 3 i + j."""
-    lam = quad.points
-    outer = quad.weights[:, None] * (lam[:, :, None] * lam[:, None, :]).reshape(-1, 9)
-    uq = u_full[mesh.triangles] @ lam.T  # (t, q)
-    return (uq**2 * mesh.areas[:, None]) @ outer
+    """Element entries of the density mass |u_h|^2 phi_i phi_j, (t, 9)."""
+    uq = u_full[mesh.triangles] @ quad.points.T  # (t, q)
+    return _weighted_local(mesh, uq**2, quad)
+
+
+def _interior_pattern(mesh, dof_map):
+    """(indptr, indices, slots): the CSR pattern over the interior dofs
+    ``dof_map`` of every P1 operator on ``mesh``, and the ``data`` slot of
+    each element entry (t * 9, row-major per triangle).  An entry whose row
+    or column is a boundary node gets the extra slot nnz, which is dropped.
+    """
+    n = dof_map.size
+    dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    dof[dof_map] = np.arange(n)
+    d = dof[mesh.triangles]
+    rows = np.repeat(d, 3, axis=1).ravel()
+    cols = np.tile(d, (1, 3)).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    keys, kept_slots = np.unique(rows[kept] * n + cols[kept], return_inverse=True)
+    slots = np.full(rows.size, keys.size, dtype=np.int32)
+    slots[kept] = kept_slots
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    pattern = (indptr.astype(np.int32), (keys % n).astype(np.int32), slots)
+    for arr in pattern:  # shared by every matrix filled from it
+        arr.setflags(write=False)
+    return pattern
+
+
+def _interior_csr(pattern, local):
+    """Interior CSR matrix from element entries (t, 3, 3) or (t, 9): one sum
+    of the entries into their slots of ``pattern``."""
+    indptr, indices, slots = pattern
+    data = np.bincount(slots, weights=local.ravel(), minlength=indices.size + 1)
+    n = indptr.size - 1
+    return sparse.csr_matrix((data[: indices.size], indices, indptr), shape=(n, n))
 
 
 @dataclass
 class FeOperators:
     """Assembled P1 operators over interior (non-boundary) dofs.
 
-    K, M, MV are the stiffness, mass, and potential-weighted mass restricted
-    to interior dofs; M_full is the mass over all nodes (no boundary
-    elimination).  ``dof_map`` lists the node index of each interior dof.
-    Built on first use and kept: ``A``, the nested-dissection ``ordering``
-    of the interior dofs for sparse factorizations, and the interior CSR
-    pattern of the density mass with its element-to-slot map.
+    K, M, MV are the stiffness, mass, and potential-weighted mass on the
+    interior dofs; ``dof_map`` lists the node index of each interior dof.
+    ``pattern`` is the interior CSR pattern (``_interior_pattern``) that
+    K, M, MV and every density mass fill.  Built on first use and kept:
+    ``A`` and the nested-dissection ``ordering`` of the interior dofs for
+    sparse factorizations.
     """
 
     mesh: object
@@ -271,11 +280,10 @@ class FeOperators:
     K: sparse.csr_matrix
     M: sparse.csr_matrix
     MV: sparse.csr_matrix
-    M_full: sparse.csr_matrix
     dof_map: np.ndarray
+    pattern: tuple = field(repr=False)
     _A: sparse.csr_matrix = field(default=None, repr=False)
     _ordering: np.ndarray = field(default=None, repr=False)
-    _density_pattern: tuple = field(default=None, repr=False)
 
     @property
     def n_dofs(self):
@@ -295,31 +303,6 @@ class FeOperators:
             self._ordering = nested_dissection(self.mesh)
         return self._ordering
 
-    @property
-    def density_pattern(self):
-        """(indptr, indices, kept, slots) of the interior density mass.
-
-        ``kept`` marks the element entries (t * 9, row-major per triangle)
-        whose row and column are both interior dofs, and ``slots`` gives the
-        CSR ``data`` position of each kept entry (int32).
-        """
-        if self._density_pattern is None:
-            n = self.n_dofs
-            dof = np.full(self.mesh.n_nodes, -1, dtype=np.int64)
-            dof[self.dof_map] = np.arange(n)
-            d = dof[self.mesh.triangles]
-            rows = np.repeat(d, 3, axis=1).ravel()
-            cols = np.tile(d, (1, 3)).ravel()
-            kept = (rows >= 0) & (cols >= 0)
-            keys, slots = np.unique(rows[kept] * n + cols[kept], return_inverse=True)
-            indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-            indices = keys % n
-            pattern = (indptr.astype(np.int32), indices.astype(np.int32), kept, slots.astype(np.int32))
-            for arr in pattern:  # shared by every N built from it
-                arr.setflags(write=False)
-            self._density_pattern = pattern
-        return self._density_pattern
-
     def expand(self, u_interior):
         """Zero-pad interior coefficients to a full nodal vector."""
         u_interior = np.asarray(u_interior)
@@ -332,37 +315,34 @@ class FeOperators:
 
 
 def assemble_operators(mesh, potential, quad=None):
-    """Assemble stiffness, mass, and potential mass with Dirichlet elimination."""
+    """Assemble stiffness, mass, and potential mass on the interior dofs
+    (Dirichlet elimination): each fills the one interior CSR pattern."""
     if quad is None:
         quad = DEFAULT_QUAD
     if quad.degree < 2:
         raise AssemblyError("mass assembly needs quadrature exactness >= 2")
-    if potential.kind in ("harmonic", "callable") and quad.degree < 4:
+    if potential.kind == "harmonic" and quad.degree < 4:
         raise AssemblyError("potential mass with a smooth V needs exactness >= 4")
     dof = mesh.interior_nodes()
-    M_full = mass_matrix(mesh)
-    K = stiffness_matrix(mesh)[dof][:, dof].tocsr()
-    M = M_full[dof][:, dof].tocsr()
-    MV = potential_mass_matrix(mesh, potential, quad)[dof][:, dof].tocsr()
-    return FeOperators(mesh, potential, quad, K, M, MV, M_full, dof)
+    pattern = _interior_pattern(mesh, dof)
+    K = _interior_csr(pattern, _stiffness_local(mesh))
+    M = _interior_csr(pattern, _mass_local(mesh))
+    MV = _interior_csr(pattern, _potential_local(mesh, potential, quad))
+    return FeOperators(mesh, potential, quad, K, M, MV, dof, pattern)
 
 
 def assemble_density_mass(ops, u_interior):
     """Interior-dof density mass N(u) of a state given in interior coordinates.
 
-    Fills only the ``data`` of the interior CSR pattern cached on ``ops``
-    (``FeOperators.density_pattern``): one sum of the kept element entries
-    into their slots.
+    Fills only the ``data`` of the interior CSR pattern of ``ops``
+    (``FeOperators.pattern``).
     """
     u_interior = np.asarray(u_interior)
     if u_interior.shape != (ops.n_dofs,):
         raise AssemblyError(
             f"state shape {u_interior.shape} != ({ops.n_dofs},) interior dofs"
         )
-    indptr, indices, kept, slots = ops.density_pattern
-    local = _density_local(ops.mesh, ops.expand(u_interior), ops.quad)
-    data = np.bincount(slots, weights=local.ravel()[kept], minlength=indices.size)
-    return sparse.csr_matrix((data, indices, indptr), shape=(ops.n_dofs, ops.n_dofs))
+    return _interior_csr(ops.pattern, _density_local(ops.mesh, ops.expand(u_interior), ops.quad))
 
 
 def l4_norm4(mesh, u_full, quad=DEFAULT_QUAD):

@@ -149,15 +149,16 @@ class DiscreteSpace:
             return v
         return spd_solver(self.M, self.ops.ordering)(self.rep_fine.T @ (M_fine @ v))
 
-    def nonlinear_matrix(self, c):
-        """Density mass N(u) in space coordinates, for products ``N @ v``.
+    def nonlinear_matrix(self, w):
+        """Density mass N(u) in space coordinates, for products ``N @ v``,
+        of the state with assembly-mesh coefficients w = ``to_assembly(c)``.
 
         The fine density mass is assembled once per call.  P1 spaces get it
         as the sparse matrix; the LOD space gets the operator
         v -> B^T (N (B v)), two solves with A per product, and B^T N B is
         never formed.
         """
-        N = assemble_density_mass(self.ops, self.to_assembly(c))
+        N = assemble_density_mass(self.ops, w)
         B = self.rep_assembly
         if B is None:
             return N
@@ -171,15 +172,16 @@ class DiscreteSpace:
     def mass_norm(self, c):
         return float(np.sqrt(c @ (self.M @ c)))
 
-    def energy_of(self, c, beta):
-        """1/2 c^T A c + beta/4 ||u||_L4^4."""
+    def energy_of(self, c, w, beta):
+        """1/2 c^T A c + beta/4 ||u||_L4^4, with w = ``to_assembly(c)``."""
         quadratic = 0.5 * float(c @ (self.A @ c))
         if beta == 0.0:
             return quadratic
-        return quadratic + 0.25 * beta * self.l4_of(c)
+        return quadratic + 0.25 * beta * self.l4_of(w)
 
-    def l4_of(self, c):
-        return l4_norm4(self.ops.mesh, self.ops.expand(self.to_assembly(c)), self.ops.quad)
+    def l4_of(self, w):
+        """||u||_L4^4 of the state with assembly-mesh coefficients w."""
+        return l4_norm4(self.ops.mesh, self.ops.expand(w), self.ops.quad)
 
     def solve_shifted(self, N, beta, tau, rhs, x0=None):
         """Solve (M/tau + A + beta N) x = rhs in space coordinates by PCG.
@@ -242,7 +244,7 @@ def lod_discrete_space(lod, ops_fine):
     # only the mesh, quadrature and interior dofs of these operators are
     # used; the problem potential may not be assemblable on the coarse mesh
     ops_coarse = assemble_operators(lod.hierarchy.coarse, Potential.constant(0.0), ops_fine.quad)
-    coarse_density = DiscreteSpace(ops_coarse, lod.A_lod, lod.M_lod, rep_fine=lod.basis)
+    coarse_density = DiscreteSpace(ops_coarse, lod.A_lod, lod.M_lod)
     return DiscreteSpace(
         ops_fine,
         lod.A_lod,
@@ -323,9 +325,11 @@ def _initial_coefficients(space, potential, beta, params):
 
 @dataclass
 class _FlowRun:
-    """Outcome of one flow: the last completed state and its record."""
+    """Outcome of one flow: the last completed state (coefficients u, their
+    assembly-mesh coefficients w) and its record."""
 
     u: np.ndarray
+    w: np.ndarray
     energy: float
     history: list
     inner: list
@@ -336,13 +340,15 @@ class _FlowRun:
 def _flow(space, u, beta, params):
     """Flow steps in ``space`` from the unit-mass coefficients u until
     |dE|/tau < tol_energy, max_steps, or a failed inner PCG solve.  Each
-    step's PCG starts from the previous step's u~."""
+    step's PCG starts from the previous step's u~.  Each state is taken
+    to the assembly mesh once, for its energy and the next step's N."""
     tau = params.tau
-    E = space.energy_of(u, beta)
-    run = _FlowRun(u, E, [E], [])
+    w = space.to_assembly(u)
+    E = space.energy_of(u, w, beta)
+    run = _FlowRun(u, w, E, [E], [])
     u_tilde = None
     for step in range(1, params.max_steps + 1):
-        N = space.nonlinear_matrix(u)
+        N = space.nonlinear_matrix(w)
         rhs = (space.M @ u) / tau
         u_tilde, iterations, info = space.solve_shifted(N, beta, tau, rhs, x0=u_tilde)
         if info != 0:
@@ -353,10 +359,11 @@ def _flow(space, u, beta, params):
             break
         run.inner.append(iterations)
         u = u_tilde / space.mass_norm(u_tilde)
-        E_new = space.energy_of(u, beta)
+        w = space.to_assembly(u)
+        E_new = space.energy_of(u, w, beta)
         run.history.append(E_new)
         run.converged = abs(E_new - E) / tau < params.tol_energy
-        run.u, run.energy, E = u, E_new, E_new
+        run.u, run.w, run.energy, E = u, w, E_new, E_new
         if run.converged:
             break
     return run
@@ -394,8 +401,9 @@ def minimize(space, potential, beta, params=None):
         space.pre_space._linear_part = None  # free before the exact flow factors its own
         u = pre.u
     if pre is not None and pre.failure:
-        E = space.energy_of(u, beta)
-        run = _FlowRun(u, E, [E], [], failure=f"coarse-density phase: {pre.failure}")
+        w = space.to_assembly(u)
+        E = space.energy_of(u, w, beta)
+        run = _FlowRun(u, w, E, [E], [], failure=f"coarse-density phase: {pre.failure}")
     else:
         run = _flow(space, u, beta, params)
         if pre is not None and run.failure:
@@ -405,7 +413,7 @@ def minimize(space, potential, beta, params=None):
         message = f"no convergence in {params.max_steps} steps"
     u, E = run.u, run.energy
     pre_inner = [] if pre is None else pre.inner
-    lam = eigenvalue_from_state(E, space.l4_of(u) if beta != 0.0 else 0.0, beta)
+    lam = eigenvalue_from_state(E, space.l4_of(run.w) if beta != 0.0 else 0.0, beta)
     return GroundState(
         coeffs=u,
         fine_coeffs=space.to_fine(u),
@@ -434,7 +442,7 @@ def sign_align(state, reference_fine, M_fine):
 def stationarity_residual(space, state, beta):
     """Euclidean norm of (A + beta N(u)) u - lambda M u and its scale."""
     u = state.coeffs
-    N = space.nonlinear_matrix(u)
+    N = space.nonlinear_matrix(space.to_assembly(u))
     lhs = space.A @ u + beta * (N @ u)
     residual = lhs - state.eigenvalue * (space.M @ u)
     return float(np.linalg.norm(residual)), float(np.linalg.norm(lhs))

@@ -1,7 +1,8 @@
 """LOD space construction: L2-projection constraint, correctors, basis.
 
 The fine-scale space is the kernel of C, the L2 moments of fine interior
-hats against coarse interior hats.  The ideal LOD space is its
+hats against coarse interior hats: C = P^T M, with M the interior fine
+mass and P the interior prolongation.  The ideal LOD space is its
 a-orthogonal complement, spanned by the columns of Y = A^{-1} C^T, where A
 is the bilinear-form matrix (stiffness plus potential mass) on the fine
 interior dofs.  With the SPD Schur complement S = C Y and the coarse
@@ -31,7 +32,6 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .fem_core import mass_matrix
 from .sparse_linalg import Factorization, spd_solver
 
 __all__ = [
@@ -68,21 +68,18 @@ class ConstraintOperator:
     coarse_mass: sparse.csr_matrix  # coarse interior mass M_H = C P; fixes the basis scaling
 
 
-def build_constraint(hierarchy, M_full=None):
-    """Assemble the constraint operator of a hierarchy.
+def build_constraint(hierarchy, M):
+    """Assemble the constraint operator of a hierarchy from the fine interior
+    mass ``M``.
 
     Products of nested P1 functions are integrated exactly through the fine
-    mass matrix: C = (P^T M_h) restricted to interior dofs on both levels.
+    mass: C = P^T M and M_H = C P, with P the interior prolongation.  A fine
+    boundary node has no weight on an interior coarse hat, so no full-node
+    matrix is needed.
     """
-    if M_full is None:
-        M_full = mass_matrix(hierarchy.fine)
-    P = hierarchy.prolongation_full()
-    C_full = (P.T @ M_full).tocsr()
-    ci = hierarchy.coarse.interior_nodes()
-    fi = hierarchy.fine.interior_nodes()
-    C = C_full[ci][:, fi].tocsr()
-    M_H = (P.T @ M_full @ P).tocsr()[ci][:, ci].tocsr()
-    return ConstraintOperator(C, M_H)
+    P = hierarchy.prolongation_interior()
+    C = (P.T @ M).tocsr()
+    return ConstraintOperator(C, (C @ P).tocsr())
 
 
 class CorrectorBasis:
@@ -283,7 +280,7 @@ def load_basis(path, hierarchy, ops_fine):
     m = hierarchy.coarse.n_interior
     if any(G.shape != (m, m) for G in (W, A_lod, M_lod)):
         raise CacheMismatchError(f"cached matrices are not {m} x {m}")
-    C = build_constraint(hierarchy, ops_fine.M_full).C
+    C = build_constraint(hierarchy, ops_fine.M).C
     basis = CorrectorBasis(Factorization(ops_fine.A, ops_fine.ordering), C, W)
     return LodSpace(hierarchy, basis, A_lod, M_lod, potential_descriptor)
 
@@ -292,14 +289,12 @@ def lod_space_cached(hierarchy, ops_fine, cache_dir=None):
     """Build the LOD space, reusing a disk cache when available.
 
     Returns (space, cache_hit).  With ``cache_dir`` None nothing is read or
-    written.  A corrupted or mismatched cache file is
-    ignored and overwritten.  A callable potential is never cached: its
-    descriptor names the function, not its values, so two different
-    functions could share a key.
+    written.  A corrupted or mismatched cache file is ignored and
+    overwritten.
     """
     descriptor = ops_fine.potential.descriptor()
     path = None
-    if cache_dir is not None and ops_fine.potential.kind != "callable":
+    if cache_dir is not None:
         key = cache_key(
             hierarchy.coarse.domain,
             hierarchy.coarse.cells_per_side,
@@ -312,7 +307,7 @@ def lod_space_cached(hierarchy, ops_fine, cache_dir=None):
                 return load_basis(path, hierarchy, ops_fine), True
             except CacheMismatchError as exc:
                 warnings.warn(f"rebuilding correctors, cache at {path} unusable: {exc}")
-    constraint = build_constraint(hierarchy, ops_fine.M_full)
+    constraint = build_constraint(hierarchy, ops_fine.M)
     space = compute_correctors(hierarchy, ops_fine, constraint)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -97,11 +97,6 @@ class TriMesh:
     def n_triangles(self):
         return self.triangles.shape[0]
 
-    @property
-    def cell_side(self):
-        """Side length of the square grid cells (the H or h of rate tables)."""
-        return self.domain.width / self.cells_per_side
-
     def interior_nodes(self):
         """Indices of nodes not on the boundary, in increasing order."""
         return np.flatnonzero(~self.boundary_mask)

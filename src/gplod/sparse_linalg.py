@@ -1,12 +1,13 @@
-"""Sparse storage and the direct factorization used by assembly and solvers.
+"""The sparse direct factorization used by the solvers.
 
-Matrices are scipy CSR.  Every matrix the library factors is symmetric
-positive definite, and the one sparse factorization is SuperLU without
-pivoting in a caller-given symmetric ordering (the nested-dissection order
-of the mesh's interior dofs, ``mesh.nested_dissection``).  It is reused
-across many right-hand sides.  ``spd_solver`` is the one way the library
-gets a solve for an SPD matrix, sparse or dense; only the LOD basis, which
-reports the bytes of its factor, keeps a ``Factorization`` itself.
+Matrices are scipy CSR, assembled by ``fem_core``.  Every matrix the
+library factors is symmetric positive definite, and the one sparse
+factorization is SuperLU without pivoting in a caller-given symmetric
+ordering (the nested-dissection order of the mesh's interior dofs,
+``mesh.nested_dissection``).  It is reused across many right-hand sides.
+``spd_solver`` is the one way the library gets a solve for an SPD matrix,
+sparse or dense; only the LOD basis, which reports the bytes of its
+factor, keeps a ``Factorization`` itself.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from scipy.sparse import linalg as sparse_linalg
 
 __all__ = [
     "SingularMatrixError",
-    "assemble_from_triplets",
     "Factorization",
     "spd_solver",
 ]
@@ -27,23 +27,6 @@ _PIVOT_RTOL = 1e-14
 
 class SingularMatrixError(ArithmeticError):
     """Matrix is singular or not positive definite (a pivot <= 0)."""
-
-
-def assemble_from_triplets(nrows, ncols, rows, cols, values):
-    """CSR matrix from COO triplets given as three parallel arrays; duplicate
-    entries are summed.  The result is independent of triplet order.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=float)
-    if rows.size and (rows.min() < 0 or rows.max() >= nrows):
-        raise IndexError("row index out of range")
-    if cols.size and (cols.min() < 0 or cols.max() >= ncols):
-        raise IndexError("column index out of range")
-    A = sparse.coo_matrix((values, (rows, cols)), shape=(nrows, ncols)).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
 
 
 class Factorization:

@@ -29,7 +29,7 @@ def small_ops(small_hierarchy):
 
 @pytest.fixture(scope="session")
 def small_constraint(small_hierarchy, small_ops):
-    return build_constraint(small_hierarchy, small_ops.M_full)
+    return build_constraint(small_hierarchy, small_ops.M)
 
 
 @pytest.fixture(scope="session")

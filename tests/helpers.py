@@ -7,13 +7,16 @@ from scipy.sparse.linalg import splu
 
 from gplod.convergence_study import fit_rate
 from gplod.fem_core import (
+    _MASS_REF,
     DEFAULT_QUAD,
     AssemblyError,
     Potential,
     QuadRule,
     _density_local,
+    _mass_local,
     _orbit,
-    _scatter,
+    _potential_local,
+    _stiffness_local,
     assemble_density_mass,
     assemble_operators,
     eigenvalue_from_state,
@@ -76,6 +79,47 @@ def serialize_config(resolved):
     return "\n".join(lines)
 
 
+def assemble_from_triplets(nrows, ncols, rows, cols, values):
+    """CSR matrix from COO triplets given as three parallel arrays; duplicate
+    entries are summed.  The result is independent of triplet order.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    if rows.size and (rows.min() < 0 or rows.max() >= nrows):
+        raise IndexError("row index out of range")
+    if cols.size and (cols.min() < 0 or cols.max() >= ncols):
+        raise IndexError("column index out of range")
+    A = sparse.coo_matrix((values, (rows, cols)), shape=(nrows, ncols)).tocsr()
+    A.sum_duplicates()
+    A.sort_indices()
+    return A
+
+
+def full_node_matrix(mesh, local):
+    """Full-node CSR matrix (boundary nodes included) from per-triangle
+    element entries, (t, 3, 3) or (t, 9), by triplet assembly."""
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    return assemble_from_triplets(mesh.n_nodes, mesh.n_nodes, rows, cols, np.ravel(local))
+
+
+def stiffness_matrix(mesh):
+    """Full-node stiffness from the library's element entries."""
+    return full_node_matrix(mesh, _stiffness_local(mesh))
+
+
+def mass_matrix(mesh):
+    """Full-node mass from the library's element entries."""
+    return full_node_matrix(mesh, _mass_local(mesh))
+
+
+def potential_mass_matrix(mesh, potential, quad=DEFAULT_QUAD):
+    """Full-node potential mass from the library's element entries."""
+    return full_node_matrix(mesh, _potential_local(mesh, potential, quad))
+
+
 def density_mass_matrix(mesh, u_full, quad=DEFAULT_QUAD):
     """Full-node matrix of integrals |u_h|^2 phi_i phi_j, exact for P1 u_h:
     the reference that pins the interior ``assemble_density_mass``."""
@@ -84,7 +128,39 @@ def density_mass_matrix(mesh, u_full, quad=DEFAULT_QUAD):
         raise AssemblyError(
             f"state length {u_full.shape[0]} != node count {mesh.n_nodes}"
         )
-    return _scatter(mesh, _density_local(mesh, u_full, quad))
+    return full_node_matrix(mesh, _density_local(mesh, u_full, quad))
+
+
+def sliced_operators(mesh, potential, quad=DEFAULT_QUAD):
+    """(K, M, MV) built the full-node way and sliced to the interior dofs:
+    the reference that pins ``assemble_operators``.  A piecewise-constant
+    potential mass is the closed-form element mass scaled per triangle, a
+    smooth one the quadrature sum written as one einsum."""
+    if potential.piecewise_constant:
+        potential.check_alignment(mesh)
+        vt = potential.triangle_values(mesh)
+        mv_local = (vt * mesh.areas)[:, None, None] * _MASS_REF[None, :, :]
+    else:
+        vq = potential_at_quadrature(mesh, potential, quad)
+        lam = quad.points
+        mv_local = np.einsum("tq,q,qi,qj->tij", vq, quad.weights, lam, lam)
+        mv_local = mv_local * mesh.areas[:, None, None]
+    dof = mesh.interior_nodes()
+    full = (stiffness_matrix(mesh), mass_matrix(mesh), full_node_matrix(mesh, mv_local))
+    return tuple(X[dof][:, dof].tocsr() for X in full)
+
+
+def full_node_constraint(hierarchy):
+    """(C, M_H) from the full-node fine mass and full prolongation, sliced to
+    the interior dofs of both levels: the reference that pins
+    ``build_constraint``."""
+    M_full = mass_matrix(hierarchy.fine)
+    P = hierarchy.prolongation_full()
+    ci = hierarchy.coarse.interior_nodes()
+    fi = hierarchy.fine.interior_nodes()
+    C = (P.T @ M_full).tocsr()[ci][:, fi].tocsr()
+    M_H = (P.T @ M_full @ P).tocsr()[ci][:, ci].tocsr()
+    return C, M_H
 
 
 def basis_columns(basis, columns=None):
@@ -194,17 +270,17 @@ def direct_minimize(space, potential, beta, params):
     tau = params.tau
     u = _initial_coefficients(space, potential, beta, params)
     u = u / space.mass_norm(u)
-    E = space.energy_of(u, beta)
+    E = space.energy_of(u, space.to_assembly(u), beta)
     for steps in range(1, params.max_steps + 1):
         H = direct_shifted_matrix(space, u, beta, tau)
         u_tilde = direct_solve(H, (space.M @ u) / tau)
         u = u_tilde / space.mass_norm(u_tilde)
-        E_new = space.energy_of(u, beta)
+        E_new = space.energy_of(u, space.to_assembly(u), beta)
         done = abs(E_new - E) / tau < params.tol_energy
         E = E_new
         if done:
             break
-    lam = eigenvalue_from_state(E, space.l4_of(u) if beta != 0.0 else 0.0, beta)
+    lam = eigenvalue_from_state(E, space.l4_of(space.to_assembly(u)) if beta != 0.0 else 0.0, beta)
     return u, E, lam, steps
 
 
@@ -249,7 +325,7 @@ def projection_rate_study(smooth):
     ops = assemble_operators(mesh, Potential.constant(1.0))
     if smooth:
         f_full = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
-        rhs_full = ops.M_full @ f_full
+        rhs_full = mass_matrix(mesh) @ f_full
     else:
         f_tri = np.random.default_rng(7).choice([0.0, 1.0], size=mesh.n_triangles)
         rhs_full = load_triangle_constant(mesh, f_tri)
@@ -260,7 +336,7 @@ def projection_rate_study(smooth):
     for coarse in coarse_list:
         refinements = int(round(np.log2(fine_cells / coarse)))
         hierarchy = build_hierarchy(domain, coarse, refinements)
-        constraint = build_constraint(hierarchy, ops.M_full)
+        constraint = build_constraint(hierarchy, ops.M)
         space = compute_correctors(hierarchy, ops, constraint)
         c = plod_project(space, ops, v)
         e_l2, e_h1 = norms(ops, v - space.basis @ c)

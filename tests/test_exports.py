@@ -70,3 +70,37 @@ def test_exports_are_used_by_the_library():
         if attr not in referenced | ACCEPTANCE_ONLY and (name, attr) not in traced
     ]
     assert unused == []
+
+
+# methods that a framework calls by name, not the library
+FRAMEWORK_OVERRIDES = {"_ArgumentParser.error"}
+
+
+def test_public_methods_are_used_by_the_library():
+    # every public method or property of a library class is referenced by
+    # attribute name in src/gplod outside its own body, or wrapped by the
+    # benchmark's tracer
+    referenced = {}
+    methods = []
+    for path in (ROOT / "src" / "gplod").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced[node.attr] = referenced.get(node.attr, 0) + 1
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                methods += [
+                    (cls.name, fn)
+                    for fn in cls.body
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                ]
+    traced = {attr for _, attr, _ in _tracer().TARGETS if "." in attr}
+    unused = []
+    for owner, fn in methods:
+        name = f"{owner}.{fn.name}"
+        own = sum(
+            isinstance(node, ast.Attribute) and node.attr == fn.name for node in ast.walk(fn)
+        )
+        if referenced.get(fn.name, 0) == own and name not in traced | FRAMEWORK_OVERRIDES:
+            unused.append(name)
+    assert unused == []

@@ -10,16 +10,21 @@ from gplod.fem_core import (
     eigenvalue_from_state,
     energy,
     l4_norm4,
-    mass_matrix,
     norms,
-    potential_mass_matrix,
     quad_degree4,
-    stiffness_matrix,
 )
-from gplod.mesh import build_hierarchy, uniform_mesh
+from gplod.mesh import Rect, build_hierarchy, uniform_mesh
 from gplod.sparse_linalg import Factorization
 
-from helpers import density_mass_matrix, quad_degree2, quad_degree8
+from helpers import (
+    density_mass_matrix,
+    mass_matrix,
+    potential_mass_matrix,
+    quad_degree2,
+    quad_degree8,
+    sliced_operators,
+    stiffness_matrix,
+)
 
 
 @pytest.mark.parametrize("rule", [quad_degree2(), quad_degree4(), quad_degree8()])
@@ -51,31 +56,64 @@ def test_mass_partition_of_unity(trap_domain):
 
 
 def test_constant_potential_is_scaled_mass(unit_domain):
-    mesh = uniform_mesh(unit_domain, 3)
-    M = mass_matrix(mesh)
-    MV = potential_mass_matrix(mesh, Potential.constant(3.0))
-    assert abs(MV - 3.0 * M).max() <= 1e-14
+    # the quadrature of a constant times P1 x P1 against the closed-form mass
+    ops = assemble_operators(uniform_mesh(unit_domain, 3), Potential.constant(3.0))
+    assert abs(ops.MV - 3.0 * ops.M).max() <= 1e-14
 
 
 def test_harmonic_potential_exactness(unit_domain):
     # degree-4 rule integrates the quadratic potential times P1 x P1 exactly
     mesh = uniform_mesh(unit_domain, 3)
-    MV4 = potential_mass_matrix(mesh, Potential.harmonic(), quad_degree4())
-    MV8 = potential_mass_matrix(mesh, Potential.harmonic(), quad_degree8())
+    MV4 = assemble_operators(mesh, Potential.harmonic(), quad_degree4()).MV
+    MV8 = assemble_operators(mesh, Potential.harmonic(), quad_degree8()).MV
     assert abs(MV4 - MV8).max() <= 1e-14
 
 
 def test_negative_potential_rejected(unit_domain):
+    # the constructors reject a negative value; assembly checks again
     mesh = uniform_mesh(unit_domain, 2)
     with pytest.raises(AssemblyError):
-        potential_mass_matrix(mesh, Potential.from_callable(lambda x, y: x - 10.0))
+        Potential.constant(-1.0)
+    with pytest.raises(AssemblyError, match="negative potential"):
+        assemble_operators(mesh, Potential("constant", value=-1.0))
 
 
 def test_checkerboard_alignment(trap_domain):
     V = Potential.checkerboard(0.5)
-    potential_mass_matrix(uniform_mesh(trap_domain, 48), V)  # cell 1/4: aligned
+    assemble_operators(uniform_mesh(trap_domain, 48), V)  # cell 1/4: aligned
     with pytest.raises(AssemblyError):
-        potential_mass_matrix(uniform_mesh(trap_domain, 9), V)  # cell 4/3
+        assemble_operators(uniform_mesh(trap_domain, 9), V)  # cell 4/3
+
+
+@pytest.mark.parametrize(
+    "domain, cells",
+    [
+        (Rect(0.0, 1.0, 0.0, 1.5), 2),  # cells 0.5 x 0.75: squares cut in y
+        (Rect(0.0, 2.5, 0.0, 1.25), 5),  # cells 0.5 x 0.25: 2.5 squares in y
+    ],
+)
+def test_checkerboard_alignment_in_y(domain, cells):
+    with pytest.raises(AssemblyError, match="height"):
+        assemble_operators(uniform_mesh(domain, cells), Potential.checkerboard(0.5))
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [Potential.constant(1.0), Potential.harmonic(), Potential.checkerboard(1.5)],
+    ids=["constant", "harmonic", "checkerboard"],
+)
+def test_operators_match_sliced_full_node(trap_domain, potential):
+    # one interior pattern against full-node assembly sliced to the interior
+    ops = assemble_operators(uniform_mesh(trap_domain, 24), potential)
+    K, M, MV = sliced_operators(ops.mesh, potential)
+    for got, expected in ((ops.K, K), (ops.M, M)):
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        assert np.array_equal(got.data, expected.data)
+    assert np.array_equal(ops.MV.indices, MV.indices)
+    assert abs(ops.MV - MV).max() <= 1e-15 * abs(MV).max()
+    # K, M and MV share the pattern's index arrays
+    assert np.shares_memory(ops.K.indices, ops.MV.indices)
 
 
 def test_checkerboard_exact_average(trap_domain):
@@ -117,11 +155,11 @@ def test_interior_density_mass_matches_sliced_full(trap_domain, rng):
         expected = density_mass_matrix(ops.mesh, ops.expand(u))[dof][:, dof].tocsr()
         assert np.array_equal(N.indptr, expected.indptr)
         assert np.array_equal(N.indices, expected.indices)
-        assert abs(N - expected).max() <= 1e-14 * abs(expected).max()
+        assert abs(N - expected).max() <= 1e-15 * abs(expected).max()
         built.append(N)
-    # the second call filled the pattern the first one built
+    # every call fills the pattern that assembly built
     assert np.shares_memory(built[0].indices, built[1].indices)
-    assert np.shares_memory(built[0].indptr, built[1].indptr)
+    assert np.shares_memory(built[0].indptr, ops.M.indptr)
 
 
 def test_interior_density_mass_dimension_check(unit_domain):

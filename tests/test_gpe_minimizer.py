@@ -83,7 +83,7 @@ def test_invariants_along_flow(unit_domain):
     # monotone energy history after the first step
     assert (np.diff(state.energy_history) <= 1e-12).all()
     # eigenvalue identity, recomputed from the stored state
-    lam = eigenvalue_from_state(state.energy, space.l4_of(state.coeffs), 10.0)
+    lam = eigenvalue_from_state(state.energy, space.l4_of(space.to_assembly(state.coeffs)), 10.0)
     assert abs(lam - state.eigenvalue) <= 1e-12 * max(1.0, abs(lam))
 
 
@@ -136,7 +136,7 @@ def test_space_consistency_lod_equals_fine(unit_domain):
     ops = assemble_operators(mesh, V)
     fine_state = minimize(fine_space(ops), V, 0.0)
     hierarchy = same_mesh_hierarchy(mesh)
-    constraint = build_constraint(hierarchy, ops.M_full)
+    constraint = build_constraint(hierarchy, ops.M)
     lod = compute_correctors(hierarchy, ops, constraint)
     lod_state = minimize(lod_discrete_space(lod, ops), V, 0.0)
     assert abs(fine_state.energy - lod_state.energy) <= 1e-10
@@ -258,7 +258,7 @@ def test_energy_of_matches_fem_core_energy(unit_domain, rng, beta):
     ):
         c = rng.random(ops.n_dofs)
         expected = energy(ops, c, beta)
-        assert abs(space.energy_of(c, beta) - expected) <= 1e-13 * abs(expected)
+        assert abs(space.energy_of(c, space.to_assembly(c), beta) - expected) <= 1e-13 * abs(expected)
 
 
 def test_project_fine_matches_direct_formulas(
@@ -287,7 +287,7 @@ def trap_spaces(trap_domain):
     V = Potential.harmonic()
     hierarchy = build_hierarchy(trap_domain, 12, 2)
     ops = assemble_operators(hierarchy.fine, V)
-    lod = compute_correctors(hierarchy, ops, build_constraint(hierarchy, ops.M_full))
+    lod = compute_correctors(hierarchy, ops, build_constraint(hierarchy, ops.M))
     return V, {"lod": lod_discrete_space(lod, ops), "fine": fine_space(ops)}
 
 
@@ -298,7 +298,9 @@ def test_solve_shifted_matches_direct_solve(trap_spaces, kind, rng):
     beta, tau = 100.0, 0.5
     c = rng.random(space.n_dofs)
     rhs = rng.standard_normal(space.n_dofs)
-    x, iterations, info = space.solve_shifted(space.nonlinear_matrix(c), beta, tau, rhs)
+    x, iterations, info = space.solve_shifted(
+        space.nonlinear_matrix(space.to_assembly(c)), beta, tau, rhs
+    )
     expected = direct_solve(direct_shifted_matrix(space, c, beta, tau), rhs)
     assert info == 0 and 0 < iterations < gpe_minimizer._PCG_MAX_ITERATIONS
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -320,6 +322,25 @@ def test_minimize_matches_direct_flow(trap_spaces, kind):
     assert state.inner_iterations.min() >= 1
 
 
+def test_exact_flow_takes_each_state_to_the_fine_mesh_once(trap_spaces, monkeypatch):
+    # B c is a sparse solve: each state's N, energy and, for the last one,
+    # the eigenvalue share one application of B
+    V, spaces = trap_spaces
+    space = spaces["lod"]
+    params = FlowParams(initial_guess=_initial_coefficients(space, V, 100.0, FlowParams()))
+    calls = []
+    to_assembly = space.to_assembly
+
+    def counting(c):
+        calls.append(1)
+        return to_assembly(c)
+
+    monkeypatch.setattr(space, "to_assembly", counting)
+    state = minimize(space, V, 100.0, params)
+    assert state.converged and state.steps_taken > 1
+    assert len(calls) == state.steps_taken + 1
+
+
 def test_lod_nonlinear_matrix_is_the_projected_product(trap_spaces, rng):
     _, spaces = trap_spaces
     space = spaces["lod"]
@@ -327,7 +348,7 @@ def test_lod_nonlinear_matrix_is_the_projected_product(trap_spaces, rng):
     B = space.rep_assembly
     N = assemble_density_mass(space.ops, B @ c)
     expected = B.T @ (N @ (B @ v))
-    got = space.nonlinear_matrix(c) @ v
+    got = space.nonlinear_matrix(space.to_assembly(c)) @ v
     assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
@@ -405,7 +426,7 @@ def test_two_level_flow_matches_exact_flow_fine_checkerboard(trap_domain):
     V = Potential.checkerboard(0.5)
     hierarchy = build_hierarchy(trap_domain, 12, 2)
     ops = assemble_operators(hierarchy.fine, V)
-    lod = compute_correctors(hierarchy, ops, build_constraint(hierarchy, ops.M_full))
+    lod = compute_correctors(hierarchy, ops, build_constraint(hierarchy, ops.M))
     _two_level_matches_exact_flow(lod_discrete_space(lod, ops), V, 100.0)
 
 
@@ -422,4 +443,4 @@ def test_coarse_density_space_sees_the_coarse_projection(
     assert coarse.ops.mesh is small_hierarchy.coarse
     assert coarse.A is space.A and coarse.M is space.M
     expected = l4_norm4(coarse.ops.mesh, coarse.ops.expand(d), coarse.ops.quad)
-    assert abs(coarse.l4_of(c) - expected) <= 1e-12 * expected
+    assert abs(coarse.l4_of(coarse.to_assembly(c)) - expected) <= 1e-12 * expected

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gplod.fem_core import Potential, assemble_density_mass, assemble_operators, mass_matrix
+from gplod.fem_core import Potential, assemble_density_mass, assemble_operators
 from gplod.lod_space import (
     CacheMismatchError,
     build_constraint,
@@ -19,6 +19,8 @@ from helpers import (
     coarse_element_adjacency,
     dense_correctors,
     constrained_random,
+    full_node_constraint,
+    mass_matrix,
     projection_rate_study,
     saddle_correctors,
 )
@@ -39,6 +41,24 @@ def test_constraint_partition_of_unity(small_hierarchy):
     hat_integrals = np.zeros(h.coarse.n_nodes)
     np.add.at(hat_integrals, h.coarse.triangles.ravel(), np.repeat(areas / 3.0, 3))
     assert np.abs(lhs - hat_integrals).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "domain, coarse_cells, refinements, potential",
+    [
+        (Rect(0.0, 1.0, 0.0, 1.0), 4, 2, Potential.constant(1.0)),
+        (Rect(-6.0, 6.0, -6.0, 6.0), 12, 2, Potential.harmonic()),
+        (Rect(0.0, 2.0, 0.0, 1.0), 2, 3, Potential.constant(0.0)),
+    ],
+)
+def test_constraint_matches_full_node_build(domain, coarse_cells, refinements, potential):
+    # P_int^T M over interior dofs equals the full-node P^T M_full P, sliced
+    hierarchy = build_hierarchy(domain, coarse_cells, refinements)
+    ops = assemble_operators(hierarchy.fine, potential)
+    constraint = build_constraint(hierarchy, ops.M)
+    C, M_H = full_node_constraint(hierarchy)
+    assert np.array_equal(constraint.C.toarray(), C.toarray())
+    assert np.array_equal(constraint.coarse_mass.toarray(), M_H.toarray())
 
 
 def test_constraint_disjoint_supports(small_hierarchy, small_constraint):
@@ -111,7 +131,7 @@ def test_correctors_vanish_when_fine_scale_trivial(unit_domain):
     mesh = uniform_mesh(unit_domain, 8)
     ops = assemble_operators(mesh, Potential.harmonic())
     hierarchy = same_mesh_hierarchy(mesh)
-    constraint = build_constraint(hierarchy, ops.M_full)
+    constraint = build_constraint(hierarchy, ops.M)
     space = compute_correctors(hierarchy, ops, constraint)
     assert np.abs(basis_columns(space.basis) - np.eye(mesh.n_interior)).max() <= 1e-9
 
@@ -122,7 +142,7 @@ def _lod_case(case, small_hierarchy, small_ops, small_constraint, trap_domain):
         return small_hierarchy, small_ops, small_constraint
     hierarchy = build_hierarchy(trap_domain, 12, 2)
     ops = assemble_operators(hierarchy.fine, Potential.harmonic())
-    return hierarchy, ops, build_constraint(hierarchy, ops.M_full)
+    return hierarchy, ops, build_constraint(hierarchy, ops.M)
 
 
 @pytest.mark.parametrize("case", ["small", "harmonic"])
@@ -188,7 +208,7 @@ def test_exponential_decay(unit_domain):
     # tail A-norm of a central basis function decays geometrically in layers
     hierarchy = build_hierarchy(unit_domain, 12, 2)
     ops = assemble_operators(hierarchy.fine, Potential.constant(1.0))
-    constraint = build_constraint(hierarchy, ops.M_full)
+    constraint = build_constraint(hierarchy, ops.M)
     space = compute_correctors(hierarchy, ops, constraint)
 
     coarse = hierarchy.coarse
@@ -280,24 +300,6 @@ def test_lod_space_cached(tmp_path, small_hierarchy, small_ops):
     key_a = cache_key(Rect(0, 1, 0, 1), 4, 2, "harmonic")
     key_b = cache_key(Rect(0, 1, 0, 1), 4, 2, "constant(1.0)")
     assert key_a != key_b
-
-
-def test_cache_distinct_callables(tmp_path, small_hierarchy):
-    # two lambdas share the descriptor "callable(<lambda>)"; each needs its own basis
-    bases = []
-    for potential in (
-        Potential.from_callable(lambda x, y: 1.0 + 0.0 * x),
-        Potential.from_callable(lambda x, y: 50.0 * (x * x + y * y)),
-    ):
-        ops = assemble_operators(small_hierarchy.fine, potential)
-        space, hit = lod_space_cached(small_hierarchy, ops, cache_dir=tmp_path)
-        constraint = build_constraint(small_hierarchy, ops.M_full)
-        fresh = compute_correctors(small_hierarchy, ops, constraint)
-        assert not hit
-        basis = basis_columns(space.basis)
-        assert np.abs(basis - basis_columns(fresh.basis)).max() <= 1e-12
-        bases.append(basis)
-    assert np.abs(bases[0] - bases[1]).max() > 1e-3
 
 
 def test_cache_old_format_rebuilt(tmp_path, small_hierarchy, small_ops, small_lod):

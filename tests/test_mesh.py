@@ -48,7 +48,6 @@ def test_mesh_size_is_cell_diagonal(trap_domain):
     # 6 cells on a width-12 square: cell side 2, longest edge 2*sqrt(2)
     m = uniform_mesh(trap_domain, 6)
     assert m.mesh_size == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
-    assert m.cell_side == pytest.approx(2.0, rel=1e-12)
 
 
 def test_rejects_zero_cells(unit_domain):
@@ -120,8 +119,8 @@ def test_conforming_edges(unit_domain):
 def test_hierarchy_dyadic_family(trap_domain):
     # H = 2 with three refinements reaches the h = 1/4 member of the dyadic family
     h = build_hierarchy(trap_domain, 6, 3)
-    assert h.coarse.cell_side == pytest.approx(2.0)
-    assert h.fine.cell_side == pytest.approx(0.25)
+    assert h.coarse.cells_per_side == 6
+    assert h.fine.cells_per_side == 48
     assert np.array_equal(h.fine.nodes, uniform_mesh(trap_domain, 48).nodes)
 
 

@@ -5,11 +5,10 @@ from scipy.sparse.linalg import splu
 
 from gplod.fem_core import Potential, assemble_operators
 from gplod.mesh import uniform_mesh
-from gplod.sparse_linalg import (
-    Factorization,
-    SingularMatrixError,
-    assemble_from_triplets,
-)
+from gplod.sparse_linalg import Factorization, SingularMatrixError
+
+# the triplet assembly behind the tests' full-node reference matrices
+from helpers import assemble_from_triplets
 
 
 def _factor(A):
