@@ -28,7 +28,7 @@ from . import __version__
 from .convergence_study import StudyConfig, hierarchy_space, run_study, write_csv, write_gnuplot
 from .fem_core import Potential, assemble_operators
 from .gpe_minimizer import FlowParams, fine_space, minimize, stationarity_residual
-from .lod_space import lod_space_cached
+from .lod_space import cache_path, lod_space_cached
 from .mesh import Rect, build_hierarchy, export_mesh, refinement_count, uniform_mesh
 
 USAGE_ERROR = 1
@@ -40,7 +40,7 @@ _PRESETS = ("harmonic", "checkerboard", "checkerboard_reduced", "smoke")
 CONFIG_KEYS = {
     "domain": ("xmin", "xmax", "ymin", "ymax"),
     "potential": ("kind", "value", "square_side", "low", "high"),
-    "flow": ("tau", "tol_energy", "max_steps", "initial_guess"),
+    "flow": ("tau", "tol_energy", "max_steps"),
     "study": (
         "beta", "reference_cells", "h_sequence", "baseline_coarse_fem",
         "saturation_check", "cache_dir",
@@ -162,7 +162,6 @@ def _flow_from(resolved):
         tau=_get(resolved, "flow", "tau", default=0.5, cast=float),
         tol_energy=_get(resolved, "flow", "tol_energy", default=1e-10, cast=float),
         max_steps=_get(resolved, "flow", "max_steps", default=10000, cast=int),
-        initial_guess=_get(resolved, "flow", "initial_guess", default="thomas_fermi"),
     )
 
 
@@ -255,6 +254,7 @@ def cmd_solve(args):
             mesh = hierarchy.fine
         else:
             raise ConfigError(f"unknown space {space_kind!r}")
+        potential.check_alignment(mesh)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -397,6 +397,8 @@ def cmd_correctors(args):
         wall = time.perf_counter() - t0
         hits += hit
         misses += not hit
+        if cfg.cache_dir:
+            outputs.append(cache_path(cfg.cache_dir, hierarchy, space.potential_descriptor))
         if hit:
             detail = "cache hit"
         else:
@@ -406,7 +408,6 @@ def cmd_correctors(args):
             )
         print(f"H={H:g}: {hierarchy.coarse.n_interior} correctors, {detail}, {wall:.2f}s total")
     if cfg.cache_dir:
-        outputs = sorted(Path(cfg.cache_dir).glob("correctors_*.npz"))
         print(f"cache dir: {cfg.cache_dir} ({hits} hits, {misses} misses)")
 
     manifest_path = out_dir / "correctors_manifest.json"

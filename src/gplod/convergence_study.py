@@ -77,6 +77,7 @@ class StudyConfig:
             raise ValueError("H_sequence is empty")
         for H in self.H_sequence:
             self.refinements(H)
+        self.potential.check_alignment(uniform_mesh(self.domain, self.reference_cells))
 
 
 @dataclass
@@ -281,8 +282,7 @@ def _space_rows(config, kind, ops_fine, ref_state, ref, cache, log, label=""):
                 kind, hierarchy, ops_fine, config.cache_dir, cache
             )
             c0 = space.project_fine(ref_state.fine_coeffs, ops_fine.M)
-            params = replace(config.flow, initial_guess=c0)
-            state = minimize(space, config.potential, config.beta, params)
+            state = minimize(space, config.potential, config.beta, config.flow, start=c0)
             state = sign_align(state, ref_state.fine_coeffs, ops_fine.M)
             _error_row(row, state, ref_state.fine_coeffs, ref, ops_fine)
         except Exception as exc:

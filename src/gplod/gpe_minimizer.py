@@ -10,14 +10,20 @@ applied matrix-free: in an LOD space with basis B, as v -> B^T N (B v), so
 the dense matrix B^T N B is never formed.  B itself is an operator
 (``lod_space.CorrectorBasis``), so that product costs two sparse solves
 with the fine matrix A.  Every step is solved by PCG, preconditioned by
-one factorization of the step-independent linear part M / tau + A, and
-started from the previous step's unnormalized solution u~ (from zero at
-the first step).  The iteration stops when the energy decrease per unit
-pseudo-time falls below the tolerance.
+one factorization per flow of the step-independent linear part
+M / tau + A, and started from the previous step's unnormalized solution
+u~ (from zero at the first step).  The iteration stops when the energy
+decrease per unit pseudo-time falls below the tolerance.
 
-In an LOD space, a flow from a profile start (``thomas_fermi`` or
-``coarse_hat_blob``) runs the two-level discretization of Henning,
-Malqvist and Peterseim (SIAM J. Numer. Anal. 2014) first.  Since C B = M_H,
+Each flow state u is evaluated once: its assembly-mesh coefficients w
+and N(w) give the next step's density term, ||u||_L4^4 = w . (N w) for
+its energy (exact: the degree-4 rule integrates |u|^4), and, for the
+last state, the eigenvalue.  At beta = 0 no N is assembled or applied,
+and no state is taken to the assembly mesh.
+
+In an LOD space, a flow from the Thomas-Fermi profile (no ``start``)
+runs the two-level discretization of Henning, Malqvist and Peterseim
+(SIAM J. Numer. Anal. 2014) first.  Since C B = M_H,
 the L2 projection P_H of the LOD function B c onto coarse P1 is the coarse
 P1 function with the same coefficients c.  The coarse-density flow
 replaces |u|^2 in the density term by |P_H u|^2: its N is the sparse coarse
@@ -38,7 +44,6 @@ from .fem_core import (
     assemble_density_mass,
     assemble_operators,
     eigenvalue_from_state,
-    l4_norm4,
     potential_at_quadrature,
 )
 from .sparse_linalg import spd_solver
@@ -54,7 +59,6 @@ __all__ = [
     "sign_align",
     "stationarity_residual",
     "thomas_fermi_values",
-    "hat_blob_values",
 ]
 
 # PCG on the shifted system: relative residual target and iteration cap
@@ -64,18 +68,19 @@ _PCG_MAX_ITERATIONS = 500
 
 @dataclass
 class FlowParams:
-    """Pseudo-time step, stopping tolerance on |dE|/tau, and initial guess."""
+    """Pseudo-time step, stopping tolerance on |dE|/tau, and step limit."""
 
     tau: float = 0.5
     tol_energy: float = 1e-10
     max_steps: int = 10000
-    initial_guess: object = "thomas_fermi"  # or "coarse_hat_blob" or a vector
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.tol_energy <= 0:
             raise ValueError("tol_energy must be positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass
@@ -84,11 +89,11 @@ class GroundState:
 
     ``coeffs`` lives in the space's own coordinates, ``fine_coeffs`` is its
     fine-mesh interior representation.  ``energy_history`` starts with the
-    energy of the initial guess; ``inner_iterations`` holds the PCG
+    energy of the start; ``inner_iterations`` holds the PCG
     iteration count of each completed step.  Those and ``steps_taken``
     belong to the exact flow; the ``pre_`` fields record the flow in the
     space's ``pre_space`` that ran before it (the coarse-density flow of an
-    LOD space from a profile start): its steps, their PCG iteration counts
+    LOD space from the Thomas-Fermi profile): its steps, their PCG counts
     and its seconds.
     """
 
@@ -116,10 +121,9 @@ class DiscreteSpace:
     formulas; SPD solves come from ``spd_solver``, which follows the
     operator's storage (sparse, in the nested-dissection order of
     ``ops.mesh``, for the P1 matrices; dense Cholesky for the LOD ones).
-    The linear part M/tau + A of the flow step and its factorization are
-    kept for the last tau used.  ``pre_space``, if given, has the same
-    coordinates, A and M, and a cheaper density term; ``minimize`` runs its
-    flow first from a profile start.
+    ``pre_space``, if given, has the same coordinates, A and M, and a
+    cheaper density term; ``minimize`` runs its flow first when it is
+    given no start.
     """
 
     def __init__(self, ops, A, M, rep_assembly=None, rep_fine=None, pre_space=None):
@@ -129,7 +133,6 @@ class DiscreteSpace:
         self.rep_assembly = rep_assembly
         self.rep_fine = rep_fine
         self.pre_space = pre_space
-        self._linear_part = None  # (tau, M/tau + A, its solve callable)
 
     @property
     def n_dofs(self):
@@ -150,58 +153,45 @@ class DiscreteSpace:
         return spd_solver(self.M, self.ops.ordering)(self.rep_fine.T @ (M_fine @ v))
 
     def nonlinear_matrix(self, w):
-        """Density mass N(u) in space coordinates, for products ``N @ v``,
-        of the state with assembly-mesh coefficients w = ``to_assembly(c)``.
+        """Density mass N(u) on the nonlinear-assembly mesh of the state
+        with assembly-mesh coefficients w = ``to_assembly(c)``."""
+        return assemble_density_mass(self.ops, w)
 
-        The fine density mass is assembled once per call.  P1 spaces get it
-        as the sparse matrix; the LOD space gets the operator
-        v -> B^T (N (B v)), two solves with A per product, and B^T N B is
-        never formed.
-        """
-        N = assemble_density_mass(self.ops, w)
-        B = self.rep_assembly
-        if B is None:
-            return N
-
-        def product(v):
-            return B.T @ (N @ (B @ v))
-
-        m = B.shape[1]
-        return LinearOperator((m, m), matvec=product, dtype=float)
+    def density_product(self, N, v):
+        """R^T N R v: the assembly-mesh density mass N applied in space
+        coordinates, with R = ``rep_assembly``.  P1 spaces apply the sparse
+        N; an LOD space makes two solves with A, and B^T N B is never
+        formed."""
+        R = self.rep_assembly
+        if R is None:
+            return N @ v
+        return R.T @ (N @ (R @ v))
 
     def mass_norm(self, c):
         return float(np.sqrt(c @ (self.M @ c)))
 
-    def energy_of(self, c, w, beta):
-        """1/2 c^T A c + beta/4 ||u||_L4^4, with w = ``to_assembly(c)``."""
-        quadratic = 0.5 * float(c @ (self.A @ c))
-        if beta == 0.0:
-            return quadratic
-        return quadratic + 0.25 * beta * self.l4_of(w)
+    def energy_of(self, c, l4, beta):
+        """1/2 c^T A c + beta/4 ||u||_L4^4, with l4 = ||u||_L4^4."""
+        return 0.5 * float(c @ (self.A @ c)) + 0.25 * beta * l4
 
-    def l4_of(self, w):
-        """||u||_L4^4 of the state with assembly-mesh coefficients w."""
-        return l4_norm4(self.ops.mesh, self.ops.expand(w), self.ops.quad)
+    def solve_shifted(self, H, precondition, N, beta, rhs, x0=None):
+        """Solve (H + beta R^T N R) x = rhs in space coordinates by PCG.
 
-    def solve_shifted(self, N, beta, tau, rhs, x0=None):
-        """Solve (M/tau + A + beta N) x = rhs in space coordinates by PCG.
-
-        N is what ``nonlinear_matrix`` returns; it is only applied to
-        vectors.  The preconditioner is a factorization of M/tau + A, made
-        on the first call with this tau and reused.  PCG starts from ``x0``
-        (zero if None) and stops at the relative residual target, measured
-        against ``rhs``, whatever the start.  Returns
-        ``(x, iterations, info)`` with ``info`` from ``scipy.sparse.linalg.cg``
-        (0 when the relative residual reached the target).
+        H is the linear part M/tau + A of a flow step and ``precondition``
+        a solve with it.  N is what ``nonlinear_matrix`` returns, applied
+        through ``density_product``; None (at beta = 0) drops the density
+        term.  PCG starts from ``x0`` (zero if None) and stops at the
+        relative residual target, measured against ``rhs``, whatever the
+        start.  Returns ``(x, iterations, info)`` with ``info`` from
+        ``scipy.sparse.linalg.cg`` (0 when the relative residual reached
+        the target).
         """
-        if self._linear_part is None or self._linear_part[0] != tau:
-            H = self.M / tau + self.A
-            self._linear_part = (tau, H, spd_solver(H, self.ops.ordering))
-        _, H, solve = self._linear_part
         shape = H.shape
 
         def product(v):
-            return H @ v + beta * (N @ v)
+            if N is None:
+                return H @ v
+            return H @ v + beta * self.density_product(N, v)
 
         iterations = 0
 
@@ -216,7 +206,7 @@ class DiscreteSpace:
             rtol=_PCG_RTOL,
             atol=0.0,
             maxiter=_PCG_MAX_ITERATIONS,
-            M=LinearOperator(shape, matvec=solve, dtype=float),
+            M=LinearOperator(shape, matvec=precondition, dtype=float),
             callback=count,
         )
         return x, iterations, info
@@ -291,45 +281,35 @@ def thomas_fermi_values(mesh, potential, beta, quad):
     return out
 
 
-def hat_blob_values(mesh):
-    """Nodal tent bump centered in the domain (a crude generic start)."""
-    d = mesh.domain
-    cx, cy = 0.5 * (d.xmin + d.xmax), 0.5 * (d.ymin + d.ymax)
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    out = np.maximum(0.0, 1.0 - np.abs(2.0 * (x - cx) / d.width)) * np.maximum(
-        0.0, 1.0 - np.abs(2.0 * (y - cy) / d.height)
-    )
-    out[mesh.boundary_mask] = 0.0
-    return out
-
-
-def _initial_coefficients(space, potential, beta, params):
-    guess = params.initial_guess
-    if isinstance(guess, np.ndarray):
-        c = np.array(guess, dtype=float)
-        if c.shape[0] != space.n_dofs:
-            raise ValueError(f"initial guess length {c.shape[0]} != {space.n_dofs}")
-        return c
-    if guess == "thomas_fermi":
-        nodal = thomas_fermi_values(space.ops.mesh, potential, beta, space.ops.quad)
-    elif guess == "coarse_hat_blob":
-        nodal = hat_blob_values(space.ops.mesh)
-    else:
-        raise ValueError(f"unknown initial guess {guess!r}")
+def _thomas_fermi_start(space, potential, beta):
+    """Space coefficients of the Thomas-Fermi profile on the assembly mesh
+    (``thomas_fermi_values``), L2-projected into the space."""
+    nodal = thomas_fermi_values(space.ops.mesh, potential, beta, space.ops.quad)
     u = space.ops.restrict(nodal)
     if space.rep_assembly is None:
         return u
-    # the profile lives on the assembly (fine) mesh: project it into the space
     return space.project_fine(u, space.ops.M)
+
+
+def _evaluate(space, u, beta):
+    """One evaluation of the flow state u: its density mass N(w) on the
+    assembly mesh, with w = ``to_assembly(u)``, ||u||_L4^4 = w . (N w) and
+    the energy.  At beta = 0, N is None and no w is formed."""
+    if beta == 0.0:
+        return None, 0.0, space.energy_of(u, 0.0, beta)
+    w = space.to_assembly(u)
+    N = space.nonlinear_matrix(w)
+    l4 = float(w @ (N @ w))
+    return N, l4, space.energy_of(u, l4, beta)
 
 
 @dataclass
 class _FlowRun:
-    """Outcome of one flow: the last completed state (coefficients u, their
-    assembly-mesh coefficients w) and its record."""
+    """Outcome of one flow: the last completed state u, its ||u||_L4^4 and
+    energy, and its record."""
 
     u: np.ndarray
-    w: np.ndarray
+    l4: float
     energy: float
     history: list
     inner: list
@@ -339,18 +319,23 @@ class _FlowRun:
 
 def _flow(space, u, beta, params):
     """Flow steps in ``space`` from the unit-mass coefficients u until
-    |dE|/tau < tol_energy, max_steps, or a failed inner PCG solve.  Each
-    step's PCG starts from the previous step's u~.  Each state is taken
-    to the assembly mesh once, for its energy and the next step's N."""
+    |dE|/tau < tol_energy, max_steps, or a failed inner PCG solve.  The
+    preconditioner, a factorization of M/tau + A, is made once here.  Each
+    step's PCG starts from the previous step's u~, and each state is
+    evaluated once (``_evaluate``)."""
     tau = params.tau
-    w = space.to_assembly(u)
-    E = space.energy_of(u, w, beta)
-    run = _FlowRun(u, w, E, [E], [])
+    # the start is evaluated before the factorization exists: in that
+    # order the fine harmonic solve peaks at 167 MB, in the other at 170
+    N, l4, E = _evaluate(space, u, beta)
+    H = space.M / tau + space.A
+    precondition = spd_solver(H, space.ops.ordering)
+    run = _FlowRun(u, l4, E, [E], [])
     u_tilde = None
     for step in range(1, params.max_steps + 1):
-        N = space.nonlinear_matrix(w)
         rhs = (space.M @ u) / tau
-        u_tilde, iterations, info = space.solve_shifted(N, beta, tau, rhs, x0=u_tilde)
+        u_tilde, iterations, info = space.solve_shifted(
+            H, precondition, N, beta, rhs, x0=u_tilde
+        )
         if info != 0:
             run.failure = (
                 f"inner PCG solve failed at step {step} after {iterations} "
@@ -359,24 +344,23 @@ def _flow(space, u, beta, params):
             break
         run.inner.append(iterations)
         u = u_tilde / space.mass_norm(u_tilde)
-        w = space.to_assembly(u)
-        E_new = space.energy_of(u, w, beta)
+        N, l4, E_new = _evaluate(space, u, beta)
         run.history.append(E_new)
         run.converged = abs(E_new - E) / tau < params.tol_energy
-        run.u, run.w, run.energy, E = u, w, E_new, E_new
+        run.u, run.l4, run.energy, E = u, l4, E_new, E_new
         if run.converged:
             break
     return run
 
 
-def minimize(space, potential, beta, params=None):
+def minimize(space, potential, beta, params=None, start=None):
     """Normalized gradient flow on the unit L2 sphere of the space.
 
-    If the space has a ``pre_space`` (an LOD space) and the start is a
-    profile, the flow in ``pre_space`` (the coarse-density flow) runs first
-    and the exact flow continues from its coefficients; both stop on the
-    same tolerance.  A start given as a coefficient vector runs the exact
-    flow alone.
+    With no ``start``, the flow begins from the Thomas-Fermi profile; if
+    the space has a ``pre_space`` (an LOD space), the flow in ``pre_space``
+    (the coarse-density flow) runs first and the exact flow continues from
+    its coefficients; both stop on the same tolerance.  A ``start`` given
+    as a coefficient vector in space coordinates runs the exact flow alone.
 
     Returns a GroundState; non-convergence within max_steps, or an inner PCG
     solve that misses its residual target within its iteration cap, is
@@ -388,22 +372,25 @@ def minimize(space, potential, beta, params=None):
         params = FlowParams()
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    u = _initial_coefficients(space, potential, beta, params)
+    if start is None:
+        u = _thomas_fermi_start(space, potential, beta)
+    else:
+        u = np.array(start, dtype=float)
+        if u.shape != (space.n_dofs,):
+            raise ValueError(f"start shape {u.shape} != ({space.n_dofs},)")
     nrm = space.mass_norm(u)
     if nrm == 0.0:
-        raise ValueError("initial guess is zero")
+        raise ValueError("start is zero")
     u = u / nrm
     pre, pre_seconds = None, 0.0
-    if space.pre_space is not None and not isinstance(params.initial_guess, np.ndarray):
+    if space.pre_space is not None and start is None:
         t0 = time.perf_counter()
         pre = _flow(space.pre_space, u, beta, params)
         pre_seconds = time.perf_counter() - t0
-        space.pre_space._linear_part = None  # free before the exact flow factors its own
         u = pre.u
     if pre is not None and pre.failure:
-        w = space.to_assembly(u)
-        E = space.energy_of(u, w, beta)
-        run = _FlowRun(u, w, E, [E], [], failure=f"coarse-density phase: {pre.failure}")
+        _, l4, E = _evaluate(space, u, beta)
+        run = _FlowRun(u, l4, E, [E], [], failure=f"coarse-density phase: {pre.failure}")
     else:
         run = _flow(space, u, beta, params)
         if pre is not None and run.failure:
@@ -413,12 +400,11 @@ def minimize(space, potential, beta, params=None):
         message = f"no convergence in {params.max_steps} steps"
     u, E = run.u, run.energy
     pre_inner = [] if pre is None else pre.inner
-    lam = eigenvalue_from_state(E, space.l4_of(run.w) if beta != 0.0 else 0.0, beta)
     return GroundState(
         coeffs=u,
         fine_coeffs=space.to_fine(u),
         energy=E,
-        eigenvalue=lam,
+        eigenvalue=eigenvalue_from_state(E, run.l4, beta),
         steps_taken=len(run.inner),
         energy_history=np.asarray(run.history),
         inner_iterations=np.asarray(run.inner, dtype=int),
@@ -440,9 +426,12 @@ def sign_align(state, reference_fine, M_fine):
 
 
 def stationarity_residual(space, state, beta):
-    """Euclidean norm of (A + beta N(u)) u - lambda M u and its scale."""
+    """Euclidean norm of (A + beta N(u)) u - lambda M u and its scale.
+    At beta = 0 no N is assembled or applied."""
     u = state.coeffs
-    N = space.nonlinear_matrix(space.to_assembly(u))
-    lhs = space.A @ u + beta * (N @ u)
+    lhs = space.A @ u
+    if beta != 0.0:
+        N = space.nonlinear_matrix(space.to_assembly(u))
+        lhs = lhs + beta * space.density_product(N, u)
     residual = lhs - state.eigenvalue * (space.M @ u)
     return float(np.linalg.norm(residual)), float(np.linalg.norm(lhs))

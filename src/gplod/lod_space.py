@@ -43,6 +43,7 @@ __all__ = [
     "compute_correctors",
     "plod_project",
     "cache_key",
+    "cache_path",
     "save_basis",
     "load_basis",
     "lod_space_cached",
@@ -220,6 +221,16 @@ def cache_key(domain, coarse_cells, refinements, potential_descriptor):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def cache_path(cache_dir, hierarchy, potential_descriptor):
+    """Cache file in ``cache_dir`` of the correctors of ``hierarchy`` under
+    the potential with ``potential_descriptor``."""
+    coarse = hierarchy.coarse
+    key = cache_key(
+        coarse.domain, coarse.cells_per_side, hierarchy.refinements, potential_descriptor
+    )
+    return Path(cache_dir) / f"correctors_{key}.npz"
+
+
 def save_basis(space, path):
     """Persist W and the projected operators with a validating header.
 
@@ -292,16 +303,9 @@ def lod_space_cached(hierarchy, ops_fine, cache_dir=None):
     written.  A corrupted or mismatched cache file is ignored and
     overwritten.
     """
-    descriptor = ops_fine.potential.descriptor()
     path = None
     if cache_dir is not None:
-        key = cache_key(
-            hierarchy.coarse.domain,
-            hierarchy.coarse.cells_per_side,
-            hierarchy.refinements,
-            descriptor,
-        )
-        path = Path(cache_dir) / f"correctors_{key}.npz"
+        path = cache_path(cache_dir, hierarchy, ops_fine.potential.descriptor())
         if path.exists():
             try:
                 return load_basis(path, hierarchy, ops_fine), True

@@ -20,11 +20,11 @@ from gplod.fem_core import (
     assemble_density_mass,
     assemble_operators,
     eigenvalue_from_state,
+    l4_norm4,
     load_triangle_constant,
     norms,
     potential_at_quadrature,
 )
-from gplod.gpe_minimizer import _initial_coefficients
 from gplod.lod_space import build_constraint, compute_correctors, plod_project
 from gplod.mesh import Rect, build_hierarchy, uniform_mesh
 from gplod.sparse_linalg import Factorization, spd_solver
@@ -260,28 +260,33 @@ def direct_solve(H, rhs):
     return dense_linalg.solve(H, rhs, assume_a="pos")
 
 
-def direct_minimize(space, potential, beta, params):
+def _direct_energy(space, u, beta):
+    """(E, ||u||_L4^4) of the space state u, the L4 term by ``l4_norm4``."""
+    ops = space.ops
+    l4 = l4_norm4(ops.mesh, ops.expand(space.to_assembly(u)), ops.quad) if beta != 0.0 else 0.0
+    return 0.5 * float(u @ (space.A @ u)) + 0.25 * beta * l4, l4
+
+
+def direct_minimize(space, beta, params, start):
     """Reference normalized gradient flow that forms and directly solves
     every shifted system (``direct_shifted_matrix``).
 
-    Same start, steps and stopping test as ``minimize``; returns
-    (coefficients, energy, eigenvalue, steps).
+    Same start, steps and stopping test as ``minimize`` from a vector
+    start; returns (coefficients, energy, eigenvalue, steps).
     """
     tau = params.tau
-    u = _initial_coefficients(space, potential, beta, params)
-    u = u / space.mass_norm(u)
-    E = space.energy_of(u, space.to_assembly(u), beta)
+    u = start / space.mass_norm(start)
+    E, l4 = _direct_energy(space, u, beta)
     for steps in range(1, params.max_steps + 1):
         H = direct_shifted_matrix(space, u, beta, tau)
         u_tilde = direct_solve(H, (space.M @ u) / tau)
         u = u_tilde / space.mass_norm(u_tilde)
-        E_new = space.energy_of(u, space.to_assembly(u), beta)
+        E_new, l4 = _direct_energy(space, u, beta)
         done = abs(E_new - E) / tau < params.tol_energy
         E = E_new
         if done:
             break
-    lam = eigenvalue_from_state(E, space.l4_of(space.to_assembly(u)) if beta != 0.0 else 0.0, beta)
-    return u, E, lam, steps
+    return u, E, eigenvalue_from_state(E, l4, beta), steps
 
 
 def coarse_element_adjacency(coarse):

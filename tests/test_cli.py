@@ -256,6 +256,23 @@ def test_correctors_cache_cycle(tmp_path, capsys):
     assert manifest["cache"] == {"hits": 1, "misses": 1}
 
 
+def test_correctors_manifest_lists_its_own_cache_files(tmp_path, capsys):
+    # a shared cache directory holds another potential's file too; the
+    # manifest records only the file of each H of this run
+    cache = tmp_path / "cache"
+    for value in ("1.0", "2.0"):
+        code = main(
+            ["correctors", "--config", "smoke", "--out", str(tmp_path / value),
+             f"study.cache_dir={cache}", "study.h_sequence=0.25", f"potential.value={value}"]
+        )
+        assert code == 0
+    capsys.readouterr()
+    assert len(list(cache.glob("correctors_*.npz"))) == 2
+    manifest = json.loads((tmp_path / "2.0" / "correctors_manifest.json").read_text())
+    assert len(manifest["outputs"]) == 1
+    assert Path(manifest["outputs"][0]).exists()
+
+
 def test_solve_reads_study_cache_dir(tmp_path, capsys):
     # an LOD solve finds the correctors that `correctors` cached in study.cache_dir
     cache = tmp_path / "cache"
@@ -300,6 +317,7 @@ def test_preset_resolution(capsys):
         ["nosuch.key=1"],
         ["study.warm_start=true"],
         ["study.relative_errors=true"],
+        ["flow.initial_guess=thomas_fermi"],
     ],
 )
 def test_unknown_config_key_rejected(tmp_path, capsys, overrides):
@@ -320,6 +338,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys, overrides):
         ("solve", ["flow.tau=-1"]),
         ("study", ["study.reference_tol_energy=x"]),
         ("solve", ["solve.beta=-1"]),
+        ("study", ["flow.max_steps=0"]),
+        ("solve", ["flow.max_steps=-5"]),
+        # squares of side 0.2 on a fine mesh of 32 cells: not a union of cells
+        ("solve", ["potential.kind=checkerboard", "potential.square_side=0.2"]),
+        ("study", ["potential.kind=checkerboard", "potential.square_side=0.2"]),
     ],
 )
 def test_config_value_errors_exit_1(tmp_path, capsys, command, overrides):

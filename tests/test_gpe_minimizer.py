@@ -3,7 +3,7 @@ import pytest
 from scipy import linalg as dense_linalg
 from scipy.sparse.linalg import eigsh
 
-from gplod import gpe_minimizer, sparse_linalg
+from gplod import fem_core, gpe_minimizer, sparse_linalg
 from gplod.fem_core import (
     Potential,
     assemble_density_mass,
@@ -14,10 +14,10 @@ from gplod.fem_core import (
 )
 from gplod.gpe_minimizer import (
     FlowParams,
-    _initial_coefficients,
+    _evaluate,
+    _thomas_fermi_start,
     coarse_fem_space,
     fine_space,
-    hat_blob_values,
     lod_discrete_space,
     minimize,
     sign_align,
@@ -26,7 +26,7 @@ from gplod.gpe_minimizer import (
 )
 from gplod.lod_space import build_constraint, compute_correctors
 from gplod.mesh import Rect, build_hierarchy, same_mesh_hierarchy, uniform_mesh
-from gplod.sparse_linalg import Factorization
+from gplod.sparse_linalg import Factorization, spd_solver
 
 from helpers import (
     direct_minimize,
@@ -48,6 +48,9 @@ def test_flow_params_validation():
         FlowParams(tau=0.0)
     with pytest.raises(ValueError):
         FlowParams(tol_energy=-1.0)
+    for steps in (0, -5):
+        with pytest.raises(ValueError, match="max_steps"):
+            FlowParams(max_steps=steps)
 
 
 def test_laplace_ground_state_matches_eigensolver():
@@ -83,7 +86,8 @@ def test_invariants_along_flow(unit_domain):
     # monotone energy history after the first step
     assert (np.diff(state.energy_history) <= 1e-12).all()
     # eigenvalue identity, recomputed from the stored state
-    lam = eigenvalue_from_state(state.energy, space.l4_of(space.to_assembly(state.coeffs)), 10.0)
+    l4 = l4_norm4(mesh, ops.expand(state.coeffs), ops.quad)
+    lam = eigenvalue_from_state(state.energy, l4, 10.0)
     assert abs(lam - state.eigenvalue) <= 1e-12 * max(1.0, abs(lam))
 
 
@@ -160,15 +164,11 @@ def test_initial_guess_variants(unit_domain):
     ops = assemble_operators(mesh, V)
     space = fine_space(ops)
     by_tf = minimize(space, V, 10.0)
-    by_blob = minimize(space, V, 10.0, FlowParams(initial_guess="coarse_hat_blob"))
-    by_vec = minimize(space, V, 10.0, FlowParams(initial_guess=by_tf.coeffs.copy()))
-    assert by_tf.converged and by_blob.converged and by_vec.converged
-    assert by_blob.energy == pytest.approx(by_tf.energy, abs=1e-9)
+    by_vec = minimize(space, V, 10.0, start=by_tf.coeffs.copy())
+    assert by_tf.converged and by_vec.converged
     assert by_vec.energy == pytest.approx(by_tf.energy, abs=1e-10)
     with pytest.raises(ValueError):
-        minimize(space, V, 10.0, FlowParams(initial_guess="unknown"))
-    with pytest.raises(ValueError):
-        minimize(space, V, 10.0, FlowParams(initial_guess=np.ones(3)))
+        minimize(space, V, 10.0, start=np.ones(3))
 
 
 def test_thomas_fermi_profile(trap_domain):
@@ -214,20 +214,13 @@ def test_warm_started_pcg_takes_fewer_iterations(trap_domain):
     space = fine_space(assemble_operators(mesh, V))
     warm = minimize(space, V, 100.0)
     cold_solve = space.solve_shifted
-    space.solve_shifted = lambda N, beta, tau, rhs, x0=None: cold_solve(N, beta, tau, rhs)
+    space.solve_shifted = lambda H, pc, N, beta, rhs, x0=None: cold_solve(H, pc, N, beta, rhs)
     cold = minimize(space, V, 100.0)
     assert warm.converged and cold.converged
     assert warm.steps_taken == cold.steps_taken > 2
     assert warm.inner_iterations.sum() < cold.inner_iterations.sum()
     assert warm.inner_iterations[0] == cold.inner_iterations[0]
     assert abs(warm.energy - cold.energy) <= 1e-12 * abs(cold.energy)
-
-
-def test_hat_blob(unit_domain):
-    mesh = uniform_mesh(unit_domain, 8)
-    blob = hat_blob_values(mesh)
-    assert blob.max() == pytest.approx(1.0)
-    assert blob[mesh.boundary_mask].max() == 0.0
 
 
 def test_coarse_fem_space_minimization(unit_domain):
@@ -247,7 +240,8 @@ def test_coarse_fem_space_minimization(unit_domain):
 
 @pytest.mark.parametrize("beta", [0.0, 50.0])
 def test_energy_of_matches_fem_core_energy(unit_domain, rng, beta):
-    # P1 spaces: 1/2 c^T (K + MV) c + beta/4 ||u||^4 is fem_core.energy up to rounding
+    # P1 spaces: 1/2 c^T (K + MV) c + beta/4 w.(N w), the energy of a flow
+    # state, is fem_core.energy up to rounding
     hierarchy = build_hierarchy(unit_domain, 8, 1)
     V = Potential.harmonic()
     ops_fine = assemble_operators(hierarchy.fine, V)
@@ -258,7 +252,7 @@ def test_energy_of_matches_fem_core_energy(unit_domain, rng, beta):
     ):
         c = rng.random(ops.n_dofs)
         expected = energy(ops, c, beta)
-        assert abs(space.energy_of(c, space.to_assembly(c), beta) - expected) <= 1e-13 * abs(expected)
+        assert abs(_evaluate(space, c, beta)[2] - expected) <= 1e-13 * abs(expected)
 
 
 def test_project_fine_matches_direct_formulas(
@@ -288,7 +282,8 @@ def trap_spaces(trap_domain):
     hierarchy = build_hierarchy(trap_domain, 12, 2)
     ops = assemble_operators(hierarchy.fine, V)
     lod = compute_correctors(hierarchy, ops, build_constraint(hierarchy, ops.M))
-    return V, {"lod": lod_discrete_space(lod, ops), "fine": fine_space(ops)}
+    coarse = coarse_fem_space(hierarchy, assemble_operators(hierarchy.coarse, V))
+    return V, {"lod": lod_discrete_space(lod, ops), "fine": fine_space(ops), "coarse": coarse}
 
 
 @pytest.mark.parametrize("kind", ["lod", "fine"])
@@ -298,9 +293,9 @@ def test_solve_shifted_matches_direct_solve(trap_spaces, kind, rng):
     beta, tau = 100.0, 0.5
     c = rng.random(space.n_dofs)
     rhs = rng.standard_normal(space.n_dofs)
-    x, iterations, info = space.solve_shifted(
-        space.nonlinear_matrix(space.to_assembly(c)), beta, tau, rhs
-    )
+    H = space.M / tau + space.A
+    N = space.nonlinear_matrix(space.to_assembly(c))
+    x, iterations, info = space.solve_shifted(H, spd_solver(H, space.ops.ordering), N, beta, rhs)
     expected = direct_solve(direct_shifted_matrix(space, c, beta, tau), rhs)
     assert info == 0 and 0 < iterations < gpe_minimizer._PCG_MAX_ITERATIONS
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -311,9 +306,9 @@ def test_minimize_matches_direct_flow(trap_spaces, kind):
     # a vector start: the projected Thomas-Fermi profile, exact flow only
     V, spaces = trap_spaces
     space = spaces[kind]
-    params = FlowParams(initial_guess=_initial_coefficients(space, V, 100.0, FlowParams()))
-    state = minimize(space, V, 100.0, params)
-    _, E, lam, steps = direct_minimize(space, V, 100.0, params)
+    start = _thomas_fermi_start(space, V, 100.0)
+    state = minimize(space, V, 100.0, start=start)
+    _, E, lam, steps = direct_minimize(space, 100.0, FlowParams(), start)
     assert state.converged
     assert state.steps_taken == steps
     assert abs(state.energy - E) <= 1e-12 * abs(E)
@@ -327,7 +322,7 @@ def test_exact_flow_takes_each_state_to_the_fine_mesh_once(trap_spaces, monkeypa
     # the eigenvalue share one application of B
     V, spaces = trap_spaces
     space = spaces["lod"]
-    params = FlowParams(initial_guess=_initial_coefficients(space, V, 100.0, FlowParams()))
+    start = _thomas_fermi_start(space, V, 100.0)
     calls = []
     to_assembly = space.to_assembly
 
@@ -336,7 +331,7 @@ def test_exact_flow_takes_each_state_to_the_fine_mesh_once(trap_spaces, monkeypa
         return to_assembly(c)
 
     monkeypatch.setattr(space, "to_assembly", counting)
-    state = minimize(space, V, 100.0, params)
+    state = minimize(space, V, 100.0, start=start)
     assert state.converged and state.steps_taken > 1
     assert len(calls) == state.steps_taken + 1
 
@@ -348,7 +343,7 @@ def test_lod_nonlinear_matrix_is_the_projected_product(trap_spaces, rng):
     B = space.rep_assembly
     N = assemble_density_mass(space.ops, B @ c)
     expected = B.T @ (N @ (B @ v))
-    got = space.nonlinear_matrix(space.to_assembly(c)) @ v
+    got = space.density_product(space.nonlinear_matrix(space.to_assembly(c)), v)
     assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
@@ -372,7 +367,7 @@ def test_inner_solve_failure_reported(trap_domain, trap_spaces, monkeypatch):
     V, spaces = trap_spaces
     lod = spaces["lod"]
     with monkeypatch.context() as patch:
-        patch.setattr(lod, "solve_shifted", lambda N, beta, tau, rhs, x0=None: (rhs, 1, 1))
+        patch.setattr(lod, "solve_shifted", lambda H, pc, N, beta, rhs, x0=None: (rhs, 1, 1))
         state = minimize(lod, V, 100.0)
     assert not state.converged
     assert state.message.startswith("exact phase: inner PCG solve failed at step 1 after 1")
@@ -402,9 +397,8 @@ def _two_level_matches_exact_flow(space, V, beta):
     projected profile, within the benchmark's golden bounds (energy 1e-10
     relative, eigenvalue sqrt(tau * tol_energy) relative)."""
     params = FlowParams()
-    start = _initial_coefficients(space, V, beta, params)
     two_level = minimize(space, V, beta, params)
-    exact = minimize(space, V, beta, FlowParams(initial_guess=start))
+    exact = minimize(space, V, beta, params, start=_thomas_fermi_start(space, V, beta))
     assert two_level.converged and exact.converged
     assert two_level.pre_steps > 0 and exact.pre_steps == 0
     assert len(two_level.pre_inner_iterations) == two_level.pre_steps
@@ -443,4 +437,57 @@ def test_coarse_density_space_sees_the_coarse_projection(
     assert coarse.ops.mesh is small_hierarchy.coarse
     assert coarse.A is space.A and coarse.M is space.M
     expected = l4_norm4(coarse.ops.mesh, coarse.ops.expand(d), coarse.ops.quad)
-    assert abs(coarse.l4_of(coarse.to_assembly(c)) - expected) <= 1e-12 * expected
+    assert abs(_evaluate(coarse, c, 1.0)[1] - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("kind", ["fine", "coarse", "lod"])
+def test_l4_of_a_state_is_its_density_mass_product(trap_spaces, kind, rng):
+    # the degree-4 rule integrates |u|^4 exactly, so w.(N(w) w) is ||u||_L4^4
+    _, spaces = trap_spaces
+    space = spaces[kind]
+    c = rng.random(space.n_dofs)
+    w = space.to_assembly(c)
+    expected = l4_norm4(space.ops.mesh, space.ops.expand(w), space.ops.quad)
+    assert abs(_evaluate(space, c, 1.0)[1] - expected) <= 1e-14 * expected
+
+
+def test_flow_makes_no_l4_norm4_call(trap_spaces, monkeypatch):
+    # each state's ||u||^4 comes from the N(u) that the flow assembles anyway
+    V, spaces = trap_spaces
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return l4_norm4(*args, **kwargs)
+
+    for module in (fem_core, gpe_minimizer):
+        monkeypatch.setattr(module, "l4_norm4", counting, raising=False)
+    for kind in ("fine", "lod"):
+        state = minimize(spaces[kind], V, 100.0)
+        assert state.converged and state.steps_taken > 1
+    assert calls == []
+
+
+def test_beta_zero_flow_does_no_density_work(trap_spaces, monkeypatch):
+    # no density mass is assembled or applied, and the only solve with A is
+    # the final state's B c; the eigenvalue is the smallest one of (A, M)
+    V, spaces = trap_spaces
+    space = spaces["lod"]
+    start = _thomas_fermi_start(space, V, 0.0)
+    assemblies, solves = [], []
+    monkeypatch.setattr(
+        gpe_minimizer,
+        "assemble_density_mass",
+        lambda *args: assemblies.append(1) or assemble_density_mass(*args),
+    )
+    factor = space.rep_assembly.factor
+    solve = factor.solve
+    monkeypatch.setattr(factor, "solve", lambda b: solves.append(1) or solve(b))
+    state = minimize(space, V, 0.0, start=start)
+    stationarity_residual(space, state, 0.0)
+    assert state.converged and state.steps_taken > 1
+    assert assemblies == [] and len(solves) == 1
+    lam = dense_linalg.eigh(space.A, space.M, eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert abs(state.eigenvalue - lam) <= 1e-10 * lam
+    fine = minimize(spaces["fine"], V, 0.0)
+    assert fine.converged and assemblies == []
