@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .convergence_study import StudyConfig, hierarchy_space, run_study, write_csv, write_gnuplot
 from .fem_core import Potential, assemble_operators
-from .gpe_minimizer import FlowParams, fine_space, minimize, stationarity_residual
+from .gpe_minimizer import FlowParams, fine_space, minimize
 from .lod_space import cache_path, lod_space_cached
 from .mesh import Rect, build_hierarchy, export_mesh, refinement_count, uniform_mesh
 
@@ -270,7 +270,6 @@ def cmd_solve(args):
     t0 = time.perf_counter()
     state = minimize(space, potential, beta, flow)
     wall = time.perf_counter() - t0
-    residual, residual_scale = stationarity_residual(space, state, beta)
     print(f"space: {space_kind}, dofs: {space.n_dofs}")
     print(f"energy:     {_fmt12(state.energy)}")
     print(f"eigenvalue: {_fmt12(state.eigenvalue)}")
@@ -278,7 +277,7 @@ def cmd_solve(args):
         print(f"coarse-density steps: {state.pre_steps} ({state.pre_seconds:.2f}s)")
     flow_s = wall - state.pre_seconds
     print(f"iterations: {state.steps_taken} ({flow_s:.2f}s), converged: {state.converged}")
-    print(f"stationarity residual: {residual / residual_scale:.2e} (relative)")
+    print(f"stationarity residual: {state.residual / state.residual_scale:.2e} (relative)")
 
     outputs = []
     if args.dump_solution:
@@ -312,8 +311,8 @@ def cmd_solve(args):
                 "pre_inner_iterations": state.pre_inner_iterations.tolist(),
                 "pre_flow_s": state.pre_seconds,
                 "converged": state.converged,
-                "residual": residual,
-                "residual_scale": residual_scale,
+                "residual": state.residual,
+                "residual_scale": state.residual_scale,
             },
         },
     )

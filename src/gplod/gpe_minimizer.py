@@ -9,17 +9,26 @@ the space's nonlinear-assembly mesh (the fine mesh for LOD states).  It is
 applied matrix-free: in an LOD space with basis B, as v -> B^T N (B v), so
 the dense matrix B^T N B is never formed.  B itself is an operator
 (``lod_space.CorrectorBasis``), so that product costs two sparse solves
-with the fine matrix A.  Every step is solved by PCG, preconditioned by
-one factorization per flow of the step-independent linear part
-M / tau + A, and started from the previous step's unnormalized solution
-u~ (from zero at the first step).  The iteration stops when the energy
-decrease per unit pseudo-time falls below the tolerance.
+with the fine matrix A.  Every step is solved by PCG, started from the
+previous step's unnormalized solution u~ (from zero at the first step)
+and preconditioned by one factorization per flow of
+
+    M / tau + A + beta N~(u_0),
+
+the step matrix with the density of the flow's start u_0.  In a P1 space
+N~ is that start's N itself, so the first step's PCG takes one iteration;
+the matrix fills the pattern of M, and its factor costs what that of
+M / tau + A does.  In an LOD space N~ is the sparse coarse density mass
+of P_H u_0 (the density of the coarse-density flow below), added to the
+dense m x m matrix M / tau + A before its Cholesky factorization, so B is
+not applied to form it.  The iteration stops when the energy decrease
+per unit pseudo-time falls below the tolerance.
 
 Each flow state u is evaluated once: its assembly-mesh coefficients w
 and N(w) give the next step's density term, ||u||_L4^4 = w . (N w) for
 its energy (exact: the degree-4 rule integrates |u|^4), and, for the
-last state, the eigenvalue.  At beta = 0 no N is assembled or applied,
-and no state is taken to the assembly mesh.
+last state, the eigenvalue and the stationarity residual.  At beta = 0
+no N is assembled or applied, and no state is taken to the assembly mesh.
 
 In an LOD space, a flow from the Thomas-Fermi profile (no ``start``)
 runs the two-level discretization of Henning, Malqvist and Peterseim
@@ -37,6 +46,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .fem_core import (
@@ -57,7 +67,6 @@ __all__ = [
     "lod_discrete_space",
     "minimize",
     "sign_align",
-    "stationarity_residual",
     "thomas_fermi_values",
 ]
 
@@ -94,7 +103,8 @@ class GroundState:
     belong to the exact flow; the ``pre_`` fields record the flow in the
     space's ``pre_space`` that ran before it (the coarse-density flow of an
     LOD space from the Thomas-Fermi profile): its steps, their PCG counts
-    and its seconds.
+    and its seconds.  ``residual`` and ``residual_scale`` are the Euclidean
+    norms of (A + beta N(u)) u - lambda M u and of (A + beta N(u)) u.
     """
 
     coeffs: np.ndarray
@@ -105,6 +115,8 @@ class GroundState:
     energy_history: np.ndarray
     inner_iterations: np.ndarray
     converged: bool
+    residual: float
+    residual_scale: float
     message: str = ""
     pre_steps: int = 0
     pre_inner_iterations: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
@@ -122,8 +134,10 @@ class DiscreteSpace:
     operator's storage (sparse, in the nested-dissection order of
     ``ops.mesh``, for the P1 matrices; dense Cholesky for the LOD ones).
     ``pre_space``, if given, has the same coordinates, A and M, and a
-    cheaper density term; ``minimize`` runs its flow first when it is
-    given no start.
+    cheaper density term whose matrix is in those coordinates; ``minimize``
+    runs its flow first when it is given no start, and a flow in a space
+    whose density lives on another mesh takes its preconditioner's density
+    term from it.
     """
 
     def __init__(self, ops, A, M, rep_assembly=None, rep_fine=None, pre_space=None):
@@ -178,7 +192,8 @@ class DiscreteSpace:
         """Solve (H + beta R^T N R) x = rhs in space coordinates by PCG.
 
         H is the linear part M/tau + A of a flow step and ``precondition``
-        a solve with it.  N is what ``nonlinear_matrix`` returns, applied
+        an approximate solve with H + beta R^T N R (the flow's factor of
+        H + beta N~(u_0)).  N is what ``nonlinear_matrix`` returns, applied
         through ``density_product``; None (at beta = 0) drops the density
         term.  PCG starts from ``x0`` (zero if None) and stops at the
         relative residual target, measured against ``rhs``, whatever the
@@ -292,23 +307,43 @@ def _thomas_fermi_start(space, potential, beta):
 
 
 def _evaluate(space, u, beta):
-    """One evaluation of the flow state u: its density mass N(w) on the
-    assembly mesh, with w = ``to_assembly(u)``, ||u||_L4^4 = w . (N w) and
-    the energy.  At beta = 0, N is None and no w is formed."""
+    """One evaluation of the flow state u, returned as (N, l4, energy, w):
+    w = ``to_assembly(u)``, its density mass N = N(w) on the assembly mesh,
+    l4 = ||u||_L4^4 = w . (N w), and the energy.  At beta = 0, N and w are
+    None and no w is formed."""
     if beta == 0.0:
-        return None, 0.0, space.energy_of(u, 0.0, beta)
+        return None, 0.0, space.energy_of(u, 0.0, beta), None
     w = space.to_assembly(u)
     N = space.nonlinear_matrix(w)
     l4 = float(w @ (N @ w))
-    return N, l4, space.energy_of(u, l4, beta)
+    return N, l4, space.energy_of(u, l4, beta), w
+
+
+def _preconditioner_matrix(space, H, N, u, beta):
+    """H + beta N~(u), the matrix a flow from u factors once.  N~ is the
+    start's density mass N when it is in space coordinates (P1 spaces);
+    an LOD N lives on the fine mesh, so N~ is the coarse density mass of
+    ``pre_space``.  At beta = 0 it is H itself."""
+    if beta == 0.0:
+        return H
+    if space.rep_assembly is not None:
+        N = space.pre_space.nonlinear_matrix(u)
+    if not sparse.issparse(H):
+        return H + beta * N.toarray()
+    # in CSC, the format the factorization takes, the CSR sum is freed before
+    # SuperLU allocates; passed as CSR, it lived through the factorization and
+    # the fine harmonic solve peaked at 170 MB in 3 of 5 runs (167 MB in CSC)
+    return (H + beta * N).tocsc()
 
 
 @dataclass
 class _FlowRun:
-    """Outcome of one flow: the last completed state u, its ||u||_L4^4 and
-    energy, and its record."""
+    """Outcome of one flow: the last completed state u, its assembly-mesh
+    coefficients w, density mass N, ||u||_L4^4 and energy, and its record."""
 
     u: np.ndarray
+    w: np.ndarray
+    N: object
     l4: float
     energy: float
     history: list
@@ -320,16 +355,19 @@ class _FlowRun:
 def _flow(space, u, beta, params):
     """Flow steps in ``space`` from the unit-mass coefficients u until
     |dE|/tau < tol_energy, max_steps, or a failed inner PCG solve.  The
-    preconditioner, a factorization of M/tau + A, is made once here.  Each
-    step's PCG starts from the previous step's u~, and each state is
-    evaluated once (``_evaluate``)."""
+    preconditioner, a factorization of M/tau + A + beta N~(u)
+    (``_preconditioner_matrix``), is made once here from the start u; the
+    shifted matrix is dropped as soon as it is factored.  Each step's PCG
+    starts from the previous step's u~, and each state is evaluated once
+    (``_evaluate``)."""
     tau = params.tau
-    # the start is evaluated before the factorization exists: in that
-    # order the fine harmonic solve peaks at 167 MB, in the other at 170
-    N, l4, E = _evaluate(space, u, beta)
+    # the factored matrix holds the start's density, so the start is
+    # evaluated first; the fine harmonic solve peaks at 167 MB, as it did
+    # with the factor of M/tau + A alone
+    N, l4, E, w = _evaluate(space, u, beta)
     H = space.M / tau + space.A
-    precondition = spd_solver(H, space.ops.ordering)
-    run = _FlowRun(u, l4, E, [E], [])
+    precondition = spd_solver(_preconditioner_matrix(space, H, N, u, beta), space.ops.ordering)
+    run = _FlowRun(u, w, N, l4, E, [E], [])
     u_tilde = None
     for step in range(1, params.max_steps + 1):
         rhs = (space.M @ u) / tau
@@ -344,10 +382,10 @@ def _flow(space, u, beta, params):
             break
         run.inner.append(iterations)
         u = u_tilde / space.mass_norm(u_tilde)
-        N, l4, E_new = _evaluate(space, u, beta)
+        N, l4, E_new, w = _evaluate(space, u, beta)
         run.history.append(E_new)
         run.converged = abs(E_new - E) / tau < params.tol_energy
-        run.u, run.l4, run.energy, E = u, l4, E_new, E_new
+        run.u, run.w, run.N, run.l4, run.energy, E = u, w, N, l4, E_new, E_new
         if run.converged:
             break
     return run
@@ -362,11 +400,13 @@ def minimize(space, potential, beta, params=None, start=None):
     its coefficients; both stop on the same tolerance.  A ``start`` given
     as a coefficient vector in space coordinates runs the exact flow alone.
 
-    Returns a GroundState; non-convergence within max_steps, or an inner PCG
-    solve that misses its residual target within its iteration cap, is
-    reported via ``converged=False`` and ``message`` rather than an
-    exception.  On a PCG failure the state is the last completed step's,
-    and in a two-phase flow the message names the phase.
+    Returns a GroundState, whose stationarity residual comes from the
+    density mass the flow already holds (``stationarity_residual``).
+    Non-convergence within max_steps, or an inner PCG solve that misses its
+    residual target within its iteration cap, is reported via
+    ``converged=False`` and ``message`` rather than an exception.  On a PCG
+    failure the state is the last completed step's, and in a two-phase flow
+    the message names the phase.
     """
     if params is None:
         params = FlowParams()
@@ -389,8 +429,8 @@ def minimize(space, potential, beta, params=None, start=None):
         pre_seconds = time.perf_counter() - t0
         u = pre.u
     if pre is not None and pre.failure:
-        _, l4, E = _evaluate(space, u, beta)
-        run = _FlowRun(u, l4, E, [E], [], failure=f"coarse-density phase: {pre.failure}")
+        N, l4, E, w = _evaluate(space, u, beta)
+        run = _FlowRun(u, w, N, l4, E, [E], [], failure=f"coarse-density phase: {pre.failure}")
     else:
         run = _flow(space, u, beta, params)
         if pre is not None and run.failure:
@@ -399,16 +439,20 @@ def minimize(space, potential, beta, params=None, start=None):
     if not run.converged and not message:
         message = f"no convergence in {params.max_steps} steps"
     u, E = run.u, run.energy
+    eigenvalue = eigenvalue_from_state(E, run.l4, beta)
+    residual, scale = stationarity_residual(space, u, eigenvalue, beta, run.w, run.N)
     pre_inner = [] if pre is None else pre.inner
     return GroundState(
         coeffs=u,
         fine_coeffs=space.to_fine(u),
         energy=E,
-        eigenvalue=eigenvalue_from_state(E, run.l4, beta),
+        eigenvalue=eigenvalue,
         steps_taken=len(run.inner),
         energy_history=np.asarray(run.history),
         inner_iterations=np.asarray(run.inner, dtype=int),
         converged=run.converged,
+        residual=residual,
+        residual_scale=scale,
         message=message,
         pre_steps=len(pre_inner),
         pre_inner_iterations=np.asarray(pre_inner, dtype=int),
@@ -425,13 +469,14 @@ def sign_align(state, reference_fine, M_fine):
     return replace(state, coeffs=-state.coeffs, fine_coeffs=-state.fine_coeffs)
 
 
-def stationarity_residual(space, state, beta):
-    """Euclidean norm of (A + beta N(u)) u - lambda M u and its scale.
-    At beta = 0 no N is assembled or applied."""
-    u = state.coeffs
+def stationarity_residual(space, u, eigenvalue, beta, w, N):
+    """Euclidean norm of (A + beta N(u)) u - lambda M u and its scale, from
+    the assembly-mesh coefficients w and density mass N that the state's
+    evaluation formed (``_evaluate``; None at beta = 0).  The density term
+    is R^T (N w), one solve with A in an LOD space."""
     lhs = space.A @ u
     if beta != 0.0:
-        N = space.nonlinear_matrix(space.to_assembly(u))
-        lhs = lhs + beta * space.density_product(N, u)
-    residual = lhs - state.eigenvalue * (space.M @ u)
+        Nw = N @ w
+        lhs = lhs + beta * (Nw if space.rep_assembly is None else space.rep_assembly.T @ Nw)
+    residual = lhs - eigenvalue * (space.M @ u)
     return float(np.linalg.norm(residual)), float(np.linalg.norm(lhs))

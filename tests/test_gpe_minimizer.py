@@ -21,7 +21,6 @@ from gplod.gpe_minimizer import (
     lod_discrete_space,
     minimize,
     sign_align,
-    stationarity_residual,
     thomas_fermi_values,
 )
 from gplod.lod_space import build_constraint, compute_correctors
@@ -97,8 +96,7 @@ def test_stationarity_residual(unit_domain):
     ops = assemble_operators(mesh, V)
     space = fine_space(ops)
     state = minimize(space, V, 100.0, FlowParams(tol_energy=1e-12))
-    residual, scale = stationarity_residual(space, state, 100.0)
-    assert residual <= 1e-6 * scale
+    assert state.residual <= 1e-6 * state.residual_scale
 
 
 def test_positivity_after_alignment(unit_domain):
@@ -362,6 +360,79 @@ def test_preconditioner_factored_once_per_flow(trap_spaces, monkeypatch):
     assert calls == [(ops.n_dofs, ops.n_dofs)]
 
 
+@pytest.mark.parametrize("kind", ["fine", "coarse"])
+def test_p1_flow_first_step_takes_one_pcg_iteration(trap_spaces, kind):
+    # the preconditioner factors M/tau + A + beta N(u_0), the first step's
+    # matrix itself
+    V, spaces = trap_spaces
+    state = minimize(spaces[kind], V, 100.0)
+    assert state.converged and state.steps_taken > 1
+    assert state.inner_iterations[0] == 1
+
+
+def test_coarse_density_preconditioner_cuts_exact_lod_iterations(trap_spaces):
+    # one exact LOD step from the projected profile: the factor of
+    # M/tau + A_lod + beta N(P_H u) beats that of M/tau + A_lod
+    V, spaces = trap_spaces
+    space = spaces["lod"]
+    beta, tau = 100.0, 0.5
+    u = _thomas_fermi_start(space, V, beta)
+    u = u / space.mass_norm(u)
+    H = space.M / tau + space.A
+    N = space.nonlinear_matrix(space.to_assembly(u))
+    rhs = (space.M @ u) / tau
+    shifted = spd_solver(gpe_minimizer._preconditioner_matrix(space, H, N, u, beta))
+    x, iterations, info = space.solve_shifted(H, shifted, N, beta, rhs)
+    x_plain, iterations_plain, info_plain = space.solve_shifted(H, spd_solver(H), N, beta, rhs)
+    assert info == info_plain == 0
+    assert iterations < iterations_plain
+    assert np.linalg.norm(x - x_plain) <= 1e-10 * np.linalg.norm(x_plain)
+
+
+@pytest.mark.parametrize("kind", ["fine", "lod"])
+def test_residual_comes_from_the_last_evaluation(trap_spaces, kind, monkeypatch):
+    # one density assembly per state (plus, in LOD, the preconditioner's
+    # coarse density), and the residual makes no assembly of its own; in
+    # LOD its only solve with A is B^T (N w)
+    V, spaces = trap_spaces
+    space = spaces[kind]
+    start = _thomas_fermi_start(space, V, 100.0)
+    meshes, solves, residual_solves = [], [], []
+    monkeypatch.setattr(
+        gpe_minimizer,
+        "assemble_density_mass",
+        lambda ops, w: meshes.append(ops.mesh) or assemble_density_mass(ops, w),
+    )
+    if kind == "lod":
+        factor = space.rep_assembly.factor
+        solve = factor.solve
+        monkeypatch.setattr(factor, "solve", lambda b: solves.append(1) or solve(b))
+    residual = gpe_minimizer.stationarity_residual
+
+    def counting(*args):
+        before = len(solves), len(meshes)
+        out = residual(*args)
+        residual_solves.append((len(solves) - before[0], len(meshes) - before[1]))
+        return out
+
+    monkeypatch.setattr(gpe_minimizer, "stationarity_residual", counting)
+    state = minimize(space, V, 100.0, start=start)
+    assert state.converged and state.steps_taken > 1
+    assert sum(m is space.ops.mesh for m in meshes) == state.steps_taken + 1
+    assert len(meshes) == state.steps_taken + 1 + (kind == "lod")
+    assert residual_solves == [(1 if kind == "lod" else 0, 0)]
+    # the same residual as one formed from scratch
+    u = state.coeffs
+    lhs = space.A @ u + 100.0 * space.density_product(
+        space.nonlinear_matrix(space.to_assembly(u)), u
+    )
+    expected = np.linalg.norm(lhs - state.eigenvalue * (space.M @ u))
+    scale = np.linalg.norm(lhs)
+    assert abs(state.residual_scale - scale) <= 1e-13 * scale
+    assert abs(state.residual - expected) <= 1e-13 * scale
+    assert state.residual <= 1e-5 * scale
+
+
 def test_inner_solve_failure_reported(trap_domain, trap_spaces, monkeypatch):
     # LOD, exact phase: the coarse-density flow runs, the first exact step fails
     V, spaces = trap_spaces
@@ -484,7 +555,6 @@ def test_beta_zero_flow_does_no_density_work(trap_spaces, monkeypatch):
     solve = factor.solve
     monkeypatch.setattr(factor, "solve", lambda b: solves.append(1) or solve(b))
     state = minimize(space, V, 0.0, start=start)
-    stationarity_residual(space, state, 0.0)
     assert state.converged and state.steps_taken > 1
     assert assemblies == [] and len(solves) == 1
     lam = dense_linalg.eigh(space.A, space.M, eigvals_only=True, subset_by_index=[0, 0])[0]
