@@ -191,8 +191,7 @@ def _mass_local(mesh):
 
 def quad_points_xy(mesh, quad):
     """Physical quadrature point coordinates, shape (t, q, 2)."""
-    p = mesh.nodes[mesh.triangles]
-    return np.einsum("qi,tid->tqd", quad.points, p)
+    return quad.points @ mesh.nodes[mesh.triangles]
 
 
 def potential_at_quadrature(mesh, potential, quad):

@@ -264,33 +264,32 @@ def thomas_fermi_values(mesh, potential, beta, quad):
     """Nodal Thomas-Fermi profile sqrt(max(0, (mu - V)/beta)), unit-mass mu.
 
     For beta = 0 the profile degenerates to the constant-interior vector.
-    The chemical potential mu is found by bisection on the exactly
-    integrated mass of the P0/P2 profile max(0, (mu - V)/beta), until the
-    midpoint of the bracket equals one of its ends.
+    mu solves sum_i c_i max(0, mu - v_i) = beta over the quadrature values
+    v_i with weights c_i = |T| w_q: the exact mass of the P0/P2 profile.
+    That sum is piecewise linear in mu.  One sort of the v_i and a cumulative
+    sum find the active points, the k smallest (ties enter together); then
+    mu = v_0 + (beta + sum c_i (v_i - v_0)) / sum c_i over them.
     """
     out = np.zeros(mesh.n_nodes)
     interior = ~mesh.boundary_mask
     if beta <= 0.0:
         out[interior] = 1.0
         return out
-    vq = potential_at_quadrature(mesh, potential, quad)
-    wq = quad.weights
-
-    def mass(mu):
-        dens = np.maximum(0.0, (mu - vq) / beta)
-        return float(np.einsum("t,q,tq->", mesh.areas, wq, dens))
-
-    lo = float(vq.min())
-    hi = float(vq.max()) + beta / mesh.domain.area + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # no further step can move lo or hi
-        if mass(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
+    v = potential_at_quadrature(mesh, potential, quad).ravel()
+    order = np.argsort(v)
+    v = v[order]
+    c = np.multiply.outer(mesh.areas, quad.weights).ravel()[order]
+    del order
+    v0 = v[0]
+    v -= v0  # now v_i - v_0
+    # scaled_mass[j - 1] = beta * mass at mu = v_j = sum_{i<j} c_i (v_j - v_i),
+    # the cumulative sum of the nonnegative (v_i - v_{i-1}) sum_{l<i} c_l
+    scaled_mass = np.cumsum(c)[:-1]
+    scaled_mass *= np.diff(v)
+    np.cumsum(scaled_mass, out=scaled_mass)
+    k = 1 + int(np.searchsorted(scaled_mass, beta))
+    del scaled_mass
+    mu = v0 + (beta + c[:k] @ v[:k]) / c[:k].sum()
     vn = potential.values(mesh.nodes[:, 0], mesh.nodes[:, 1], mesh.domain)
     out[interior] = np.sqrt(np.maximum(0.0, (mu - vn[interior]) / beta))
     return out

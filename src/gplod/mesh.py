@@ -57,10 +57,6 @@ class Rect:
     def height(self):
         return self.ymax - self.ymin
 
-    @property
-    def area(self):
-        return self.width * self.height
-
 
 class TriMesh:
     """Conforming triangulation of a rectangle.

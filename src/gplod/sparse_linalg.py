@@ -110,9 +110,13 @@ def spd_solver(H, ordering=None):
     """Solve callable ``rhs -> H^{-1} rhs`` for a symmetric positive definite H.
 
     A sparse H gets its ``Factorization`` in ``ordering``; a dense H gets a
-    dense Cholesky factorization and ``ordering`` is unused.
+    dense Cholesky factorization and ``ordering`` is unused.  The dense
+    factorization rejects a non-finite H once; each solve then checks only
+    its rhs (ValueError on an inf or NaN), not the m x m factor again.
     """
     if sparse.issparse(H):
         return Factorization(H, ordering).solve
     factor = dense_linalg.cho_factor(H)
-    return lambda rhs: dense_linalg.cho_solve(factor, rhs)
+    return lambda rhs: dense_linalg.cho_solve(
+        factor, np.asarray_chkfinite(rhs), check_finite=False
+    )

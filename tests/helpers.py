@@ -187,9 +187,17 @@ def dense_correctors(hierarchy, ops, constraint):
     return B, 0.5 * (A_lod + A_lod.T), 0.5 * (M_lod + M_lod.T)
 
 
+def quad_points_xy_einsum(mesh, quad):
+    """Physical quadrature points as the barycentric sum over the three
+    vertices of each triangle, shape (t, q, 2): the oracle of
+    ``quad_points_xy``."""
+    return np.einsum("qi,tid->tqd", quad.points, mesh.nodes[mesh.triangles])
+
+
 def thomas_fermi_values_200(mesh, potential, beta, quad):
-    """``thomas_fermi_values`` with all 200 bisection steps and no early
-    stop: the reference that pins the stop on a collapsed bracket."""
+    """The Thomas-Fermi profile with mu from 200 bisection steps on the
+    unit-mass condition: the oracle of the closed-form
+    ``thomas_fermi_values``."""
     out = np.zeros(mesh.n_nodes)
     interior = ~mesh.boundary_mask
     if beta <= 0.0:
@@ -203,7 +211,7 @@ def thomas_fermi_values_200(mesh, potential, beta, quad):
         return float(np.einsum("t,q,tq->", mesh.areas, wq, dens))
 
     lo = float(vq.min())
-    hi = float(vq.max()) + beta / mesh.domain.area + 1.0
+    hi = float(vq.max()) + beta / (mesh.domain.width * mesh.domain.height) + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mass(mid) < 1.0:

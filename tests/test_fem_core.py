@@ -12,6 +12,7 @@ from gplod.fem_core import (
     l4_norm4,
     norms,
     quad_degree4,
+    quad_points_xy,
 )
 from gplod.mesh import Rect, build_hierarchy, uniform_mesh
 from gplod.sparse_linalg import Factorization
@@ -22,6 +23,7 @@ from helpers import (
     potential_mass_matrix,
     quad_degree2,
     quad_degree8,
+    quad_points_xy_einsum,
     sliced_operators,
     stiffness_matrix,
 )
@@ -39,6 +41,16 @@ def test_quadrature_exactness(rule):
             assert abs(approx - exact) <= 1e-13
 
 
+@pytest.mark.parametrize("rule", [quad_degree4(), quad_degree8()])
+def test_quad_points_match_barycentric_sum(trap_domain, rule):
+    # the (q, 3) @ (t, 3, 2) product is the barycentric einsum up to rounding
+    mesh = uniform_mesh(trap_domain, 48)
+    xy = quad_points_xy(mesh, rule)
+    expected = quad_points_xy_einsum(mesh, rule)
+    assert xy.shape == expected.shape == (mesh.n_triangles, rule.weights.size, 2)
+    assert np.abs(xy - expected).max() <= 1e-14 * np.abs(mesh.nodes).max()
+
+
 def test_stiffness_kernel_contains_constants(unit_domain):
     K = stiffness_matrix(uniform_mesh(unit_domain, 2))
     assert np.abs(K @ np.ones(K.shape[0])).max() <= 1e-13
@@ -47,7 +59,8 @@ def test_stiffness_kernel_contains_constants(unit_domain):
 def test_mass_partition_of_unity(trap_domain):
     mesh = uniform_mesh(trap_domain, 6)
     M = mass_matrix(mesh)
-    assert abs(M.sum() - mesh.domain.area) <= 1e-12 * mesh.domain.area
+    area = mesh.domain.width * mesh.domain.height
+    assert abs(M.sum() - area) <= 1e-12 * area
     # row sums equal the hat-function integrals: one third of incident area
     areas = mesh.areas
     hat_integrals = np.zeros(mesh.n_nodes)
@@ -120,7 +133,7 @@ def test_checkerboard_exact_average(trap_domain):
     # 24x24 alternating 0/1 squares average to one half over the domain
     mesh = uniform_mesh(trap_domain, 48)
     MV = potential_mass_matrix(mesh, Potential.checkerboard(0.5))
-    assert abs(MV.sum() - 0.5 * mesh.domain.area) <= 1e-10
+    assert abs(MV.sum() - 0.5 * mesh.domain.width * mesh.domain.height) <= 1e-10
 
 
 def test_density_mass_zero_and_constant(unit_domain):
@@ -232,7 +245,7 @@ def test_l4_norm4_basics(unit_domain, rng):
     mesh = uniform_mesh(unit_domain, 3)
     assert l4_norm4(mesh, np.zeros(mesh.n_nodes)) == 0.0
     assert l4_norm4(mesh, np.ones(mesh.n_nodes)) == pytest.approx(
-        mesh.domain.area, rel=1e-14
+        mesh.domain.width * mesh.domain.height, rel=1e-14
     )
     u = rng.standard_normal(mesh.n_nodes)
     assert l4_norm4(mesh, u) == pytest.approx(

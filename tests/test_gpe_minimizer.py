@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import linalg as dense_linalg
@@ -184,24 +186,30 @@ def test_thomas_fermi_profile(trap_domain):
     assert np.abs(profile[inside] - expected).max() <= 1e-3
 
 
-def test_thomas_fermi_bisection_stops_on_collapsed_bracket(trap_domain, monkeypatch):
-    # the early stop leaves the profile bit-identical to 200 bisection steps
-    mesh = uniform_mesh(trap_domain, 48)
-    V = Potential.harmonic()
-    quad = assemble_operators(mesh, V).quad
-    expected = thomas_fermi_values_200(mesh, V, 100.0, quad)
-    einsum = np.einsum
-    evaluations = []
-
-    def counting(subscripts, *operands, **kwargs):
-        evaluations.append(subscripts)
-        return einsum(subscripts, *operands, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", counting)
-    profile = thomas_fermi_values(mesh, V, 100.0, quad)
-    monkeypatch.undo()
-    assert np.array_equal(profile, expected)
-    assert 0 < evaluations.count("t,q,tq->") <= 64
+def test_thomas_fermi_closed_form_matches_bisection(trap_domain):
+    # mu from one sort of the quadrature values equals 200 bisection steps,
+    # and the P0/P2 profile at that mu has unit mass, for a smooth
+    # potential, a two-valued one with ties, and a constant one whose
+    # support covers every point
+    potentials = [
+        Potential.harmonic(),
+        Potential.checkerboard(1.5, low=0.0, high=1.0),
+        Potential.constant(1.0),
+    ]
+    for cells in (48, 96):
+        mesh = uniform_mesh(trap_domain, cells)
+        c = np.multiply.outer(mesh.areas, fem_core.DEFAULT_QUAD.weights)
+        for V in potentials:
+            vq = fem_core.potential_at_quadrature(mesh, V, fem_core.DEFAULT_QUAD)
+            vn = V.values(mesh.nodes[:, 0], mesh.nodes[:, 1], mesh.domain)
+            for beta in (1.0, 100.0, 102.5, 1e4):
+                profile = thomas_fermi_values(mesh, V, beta, fem_core.DEFAULT_QUAD)
+                expected = thomas_fermi_values_200(mesh, V, beta, fem_core.DEFAULT_QUAD)
+                assert np.abs(profile - expected).max() <= 1e-13 * expected.max()
+                peak = np.argmax(profile)
+                mu = vn[peak] + beta * profile[peak] ** 2
+                mass = math.fsum((c * np.maximum(0.0, mu - vq)).ravel()) / beta
+                assert abs(mass - 1.0) <= 1e-13
 
 
 def test_warm_started_pcg_takes_fewer_iterations(trap_domain):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy import linalg as dense_linalg
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from gplod.fem_core import Potential, assemble_operators
 from gplod.mesh import uniform_mesh
-from gplod.sparse_linalg import Factorization, SingularMatrixError
+from gplod.sparse_linalg import Factorization, SingularMatrixError, spd_solver
 
 # the triplet assembly behind the tests' full-node reference matrices
 from helpers import assemble_from_triplets
@@ -90,6 +91,35 @@ def test_factor_multiple_rhs(rng):
     B = rng.standard_normal((40, 5))
     X = _factor(A).solve(B)
     assert np.linalg.norm(A @ X - B) <= 1e-10 * np.linalg.norm(B)
+
+
+def test_dense_solver_matches_cho_solve(rng):
+    # the dense path solves with the one checked factor, as scipy would
+    G = rng.standard_normal((60, 60))
+    H = G @ G.T + 60 * np.eye(60)
+    solve = spd_solver(H)
+    factor = dense_linalg.cho_factor(H)
+    for rhs in (rng.standard_normal(60), rng.standard_normal((60, 7))):
+        x = solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.array_equal(x, dense_linalg.cho_solve(factor, rhs))
+
+
+def test_dense_solver_rejects_non_finite(rng):
+    G = rng.standard_normal((20, 20))
+    H = G @ G.T + 20 * np.eye(20)
+    bad = H.copy()
+    bad[3, 5] = bad[5, 3] = np.nan
+    with pytest.raises(ValueError):
+        spd_solver(bad)
+    solve = spd_solver(H)
+    rhs = rng.standard_normal(20)
+    rhs[7] = np.nan
+    with pytest.raises(ValueError):
+        solve(rhs)
+    rhs[7] = np.inf
+    with pytest.raises(ValueError):
+        solve(rhs[:, None])
 
 
 def test_factor_saddle_point():
