@@ -2,9 +2,11 @@
 
 Configuration files are INI text with [domain], [potential], [flow],
 [study], and [solve] sections (see the presets shipped in
-``gplod/presets``).  Every run writes a JSON manifest next to its outputs
+``gplod/presets``).  ``main`` is the one command runner: it resolves the
+config path, parses the config and its overrides, runs the command, and
+writes the command's JSON manifest, ``<out>/<command>_manifest.json``,
 recording the fully resolved configuration, so any CSV can be reproduced
-from its manifest alone.
+from its manifest alone.  A configuration error writes no manifest.
 
 Plain-text dump formats: ``--dump-solution`` writes one line "x y value"
 per fine-mesh node; ``--dump-mesh`` writes a "# nodes N" header, one line
@@ -209,21 +211,23 @@ def _peak_rss_mb():
     return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
-def _write_manifest(path, command, config_path, resolved, overrides, outputs, extra=None):
+def _write_manifest(args, config_path, resolved, outputs, extra):
+    """Write ``<out>/<command>_manifest.json``: the run's resolved
+    configuration and outputs, its peak memory, and the command's ``extra``
+    record."""
     manifest = {
         "tool": "gplod",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "config_path": str(config_path),
-        "overrides": list(overrides),
+        "overrides": list(args.overrides),
         "resolved_config": resolved,
         "outputs": [str(o) for o in outputs],
         "peak_rss_mb": _peak_rss_mb(),
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    with open(path, "w") as fh:
+    with open(Path(args.out) / f"{args.command}_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -232,9 +236,7 @@ def _fmt12(value):
     return f"{value:.12g}"
 
 
-def cmd_solve(args):
-    config_path = _resolve_config_path(args.config)
-    resolved = parse_config(config_path.read_text(), args.overrides)
+def cmd_solve(args, resolved):
     with _config_values():
         domain = _domain_from(resolved)
         potential = _potential_from(resolved)
@@ -256,15 +258,12 @@ def cmd_solve(args):
             raise ConfigError(f"unknown space {space_kind!r}")
         potential.check_alignment(mesh)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     cache = {"hits": 0, "misses": 0}
     fine_ops = assemble_operators(mesh, potential)
     if space_kind == "fine_fem":
         space = fine_space(fine_ops)
     else:
-        cache_dir = _cache_dir_from(resolved, out_dir, not args.no_cache)
+        cache_dir = _cache_dir_from(resolved, args.out, not args.no_cache)
         space, _ = hierarchy_space(space_kind, hierarchy, fine_ops, cache_dir, cache)
 
     t0 = time.perf_counter()
@@ -282,7 +281,7 @@ def cmd_solve(args):
     outputs = []
     if args.dump_solution:
         sol_path = Path(args.dump_solution)
-        full = fine_ops.expand(space.to_fine(state.coeffs))
+        full = fine_ops.expand(state.fine_coeffs)
         with open(sol_path, "w") as fh:
             for (x, y), v in zip(fine_ops.mesh.nodes, full):
                 fh.write(f"{float(x)!r} {float(y)!r} {float(v)!r}\n")
@@ -291,42 +290,30 @@ def cmd_solve(args):
         export_mesh(fine_ops.mesh, args.dump_mesh)
         outputs.append(Path(args.dump_mesh))
 
-    manifest_path = out_dir / "solve_manifest.json"
-    _write_manifest(
-        manifest_path,
-        "solve",
-        config_path,
-        resolved,
-        args.overrides,
-        outputs,
-        extra={
-            "cache": cache,
-            "results": {
-                "energy": state.energy,
-                "eigenvalue": state.eigenvalue,
-                "iterations": state.steps_taken,
-                "inner_iterations": state.inner_iterations.tolist(),
-                "flow_s": flow_s,
-                "pre_iterations": state.pre_steps,
-                "pre_inner_iterations": state.pre_inner_iterations.tolist(),
-                "pre_flow_s": state.pre_seconds,
-                "converged": state.converged,
-                "residual": state.residual,
-                "residual_scale": state.residual_scale,
-            },
+    extra = {
+        "cache": cache,
+        "results": {
+            "energy": state.energy,
+            "eigenvalue": state.eigenvalue,
+            "iterations": state.steps_taken,
+            "inner_iterations": state.inner_iterations.tolist(),
+            "flow_s": flow_s,
+            "pre_iterations": state.pre_steps,
+            "pre_inner_iterations": state.pre_inner_iterations.tolist(),
+            "pre_flow_s": state.pre_seconds,
+            "converged": state.converged,
+            "residual": state.residual,
+            "residual_scale": state.residual_scale,
         },
-    )
+    }
     if not state.converged:
         print(f"error: {state.message}", file=sys.stderr)
-        return NUMERICAL_ERROR
-    return 0
+        return NUMERICAL_ERROR, outputs, extra
+    return 0, outputs, extra
 
 
-def cmd_study(args):
-    config_path = _resolve_config_path(args.config)
-    resolved = parse_config(config_path.read_text(), args.overrides)
+def cmd_study(args, resolved):
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = study_config_from(resolved, out_dir, use_cache=not args.no_cache)
 
     result = run_study(cfg, log=print)
@@ -350,40 +337,25 @@ def cmd_study(args):
     )
     print(f"fitted rates: {rate_text}")
 
-    manifest_path = out_dir / "study_manifest.json"
-    _write_manifest(
-        manifest_path,
-        "study",
-        config_path,
-        resolved,
-        args.overrides,
-        outputs,
-        extra={
-            "cache": {"hits": result.cache_hits, "misses": result.cache_misses},
-            "reference": {
-                k: result.reference[k]
-                for k in ("energy", "eigenvalue", "n_dofs", "steps", "inner_iterations")
-            },
-            "invalid": result.invalid,
+    extra = {
+        "cache": {"hits": result.cache_hits, "misses": result.cache_misses},
+        "reference": {
+            k: result.reference[k]
+            for k in ("energy", "eigenvalue", "n_dofs", "steps", "inner_iterations")
         },
-    )
+        "invalid": result.invalid,
+    }
     if result.invalid:
         print(f"error: {result.message}", file=sys.stderr)
-        return NUMERICAL_ERROR
+        return NUMERICAL_ERROR, outputs, extra
     failures = [r for r in result.rows if r.failed]
     for row in failures:
         print(f"warning: row H={row.H:g} failed: {row.message}", file=sys.stderr)
-    if len(failures) == len(result.rows):
-        return NUMERICAL_ERROR
-    return 0
+    return (NUMERICAL_ERROR if len(failures) == len(result.rows) else 0), outputs, extra
 
 
-def cmd_correctors(args):
-    config_path = _resolve_config_path(args.config)
-    resolved = parse_config(config_path.read_text(), args.overrides)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = study_config_from(resolved, out_dir, use_cache=not args.no_cache)
+def cmd_correctors(args, resolved):
+    cfg = study_config_from(resolved, args.out, use_cache=not args.no_cache)
 
     mesh = uniform_mesh(cfg.domain, cfg.reference_cells)
     ops = assemble_operators(mesh, cfg.potential)
@@ -409,17 +381,7 @@ def cmd_correctors(args):
     if cfg.cache_dir:
         print(f"cache dir: {cfg.cache_dir} ({hits} hits, {misses} misses)")
 
-    manifest_path = out_dir / "correctors_manifest.json"
-    _write_manifest(
-        manifest_path,
-        "correctors",
-        config_path,
-        resolved,
-        args.overrides,
-        outputs,
-        extra={"cache": {"hits": hits, "misses": misses}},
-    )
-    return 0
+    return 0, outputs, {"cache": {"hits": hits, "misses": misses}}
 
 
 def build_parser():
@@ -458,19 +420,23 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: resolve and parse its configuration, call its
+    ``cmd_*(args, resolved)``, which returns ``(exit_code, outputs, extra)``,
+    and write its manifest (``_write_manifest``)."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+        config_path = _resolve_config_path(args.config)
+        resolved = parse_config(config_path.read_text(), args.overrides)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        code, outputs, extra = args.func(args, resolved)
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
+    _write_manifest(args, config_path, resolved, outputs, extra)
+    return code
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ resolution H builds the (ideal) LOD space over the same fine mesh,
 minimizes there from the projected reference, and tabulates H1, L2,
 energy, and eigenvalue errors relative to the reference with
 least-squares convergence rates.  An optional plain-P1 baseline runs the
-same pipeline on the coarse spaces themselves.
+same pipeline on the coarse P1 spaces, Galerkin restrictions of the
+reference operators; only the reference mesh is assembled.
 """
 
 import time
@@ -209,10 +210,10 @@ def _saturation_estimate(config, ops_fine, ref_state, ref, log):
     if config.reference_cells % 2 or half_cells < 2:
         return None
     try:
+        # its fine mesh is the reference mesh, node for node
         hierarchy = build_hierarchy(config.domain, half_cells, 1)
-        ops_half = assemble_operators(hierarchy.coarse, config.potential)
         state = minimize(
-            coarse_fem_space(hierarchy, ops_half),
+            coarse_fem_space(hierarchy, ops_fine),
             config.potential,
             config.beta,
             _reference_flow(config),
@@ -256,8 +257,7 @@ def hierarchy_space(kind, hierarchy, ops_fine, cache_dir, cache):
         cache["hits" if hit else "misses"] += 1
         return lod_discrete_space(lod, ops_fine), hit
     if kind == "coarse_fem":
-        ops_coarse = assemble_operators(hierarchy.coarse, ops_fine.potential)
-        return coarse_fem_space(hierarchy, ops_coarse), False
+        return coarse_fem_space(hierarchy, ops_fine), False
     raise ValueError(f"unknown space {kind!r}")
 
 

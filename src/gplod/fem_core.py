@@ -181,7 +181,7 @@ _MASS_REF = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
 def _stiffness_local(mesh):
     """Element entries of the stiffness: exact integrals of grad phi_i . grad phi_j."""
     grads = _tri_geometry(mesh)
-    return np.einsum("tid,tjd->tij", grads, grads) * mesh.areas[:, None, None]
+    return (grads @ grads.transpose(0, 2, 1)) * mesh.areas[:, None, None]
 
 
 def _mass_local(mesh):

@@ -232,11 +232,20 @@ def fine_space(ops_fine):
     return DiscreteSpace(ops_fine, ops_fine.A, ops_fine.M)
 
 
-def coarse_fem_space(hierarchy, ops_coarse):
-    """Plain coarse P1 space; the fine representation is the prolongation."""
-    return DiscreteSpace(
-        ops_coarse, ops_coarse.A, ops_coarse.M, rep_fine=hierarchy.prolongation_interior()
-    )
+def _coarse_density_ops(hierarchy, ops_fine):
+    """Coarse-mesh operators for a coarse space's density mass: only their
+    mesh, quadrature, interior dofs and density pattern are read, so they
+    carry no potential (the problem's may not be assemblable there)."""
+    return assemble_operators(hierarchy.coarse, Potential.constant(0.0), ops_fine.quad)
+
+
+def coarse_fem_space(hierarchy, ops_fine):
+    """Plain coarse P1 space: A and M are the Galerkin restrictions P^T A P
+    and P^T M P of the fine operators, with P the interior prolongation,
+    which is also the fine representation."""
+    P = hierarchy.prolongation_interior()
+    A, M = ((P.T @ X @ P).tocsr() for X in (ops_fine.A, ops_fine.M))
+    return DiscreteSpace(_coarse_density_ops(hierarchy, ops_fine), A, M, rep_fine=P)
 
 
 def lod_discrete_space(lod, ops_fine):
@@ -246,10 +255,9 @@ def lod_discrete_space(lod, ops_fine):
     with the density of the coarse P1 function that has the same
     coefficients (P_H of the LOD function), assembled on the coarse mesh.
     """
-    # only the mesh, quadrature and interior dofs of these operators are
-    # used; the problem potential may not be assemblable on the coarse mesh
-    ops_coarse = assemble_operators(lod.hierarchy.coarse, Potential.constant(0.0), ops_fine.quad)
-    coarse_density = DiscreteSpace(ops_coarse, lod.A_lod, lod.M_lod)
+    coarse_density = DiscreteSpace(
+        _coarse_density_ops(lod.hierarchy, ops_fine), lod.A_lod, lod.M_lod
+    )
     return DiscreteSpace(
         ops_fine,
         lod.A_lod,

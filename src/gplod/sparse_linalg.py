@@ -81,11 +81,13 @@ class Factorization:
     @property
     def nbytes(self):
         """Bytes held: SuperLU's stored entries (8-byte values, 4-byte
-        indices), the CSC copy of U that reading the pivots cached on the
-        factor, and the ordering."""
-        U = self._lu.U  # the cached copy, not a new one
-        copy_of_U = U.data.nbytes + U.indices.nbytes + U.indptr.nbytes
-        return 12 * int(self._lu.nnz) + copy_of_U + self._order.nbytes
+        indices), the CSC copies of L and U that reading the pivots made
+        scipy build and cache together on the factor, and the ordering."""
+        copies = sum(
+            X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+            for X in (self._lu.L, self._lu.U)  # the cached copies, not new ones
+        )
+        return 12 * int(self._lu.nnz) + copies + self._order.nbytes
 
     def solve(self, b):
         """Solution of A x = b for a vector or a block of columns.

@@ -17,6 +17,7 @@ from gplod.fem_core import (
     _orbit,
     _potential_local,
     _stiffness_local,
+    _tri_geometry,
     assemble_density_mass,
     assemble_operators,
     eigenvalue_from_state,
@@ -185,6 +186,13 @@ def dense_correctors(hierarchy, ops, constraint):
     A_lod = constraint.coarse_mass @ W
     M_lod = B.T @ (ops.M @ B)
     return B, 0.5 * (A_lod + A_lod.T), 0.5 * (M_lod + M_lod.T)
+
+
+def stiffness_local_einsum(mesh):
+    """Element stiffness entries grad phi_i . grad phi_j |T| as one einsum:
+    the oracle of the batched-matmul ``_stiffness_local``."""
+    grads = _tri_geometry(mesh)
+    return np.einsum("tid,tjd->tij", grads, grads) * mesh.areas[:, None, None]
 
 
 def quad_points_xy_einsum(mesh, quad):

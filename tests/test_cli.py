@@ -343,12 +343,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys, overrides):
         # squares of side 0.2 on a fine mesh of 32 cells: not a union of cells
         ("solve", ["potential.kind=checkerboard", "potential.square_side=0.2"]),
         ("study", ["potential.kind=checkerboard", "potential.square_side=0.2"]),
+        ("correctors", ["flow.tau=-1"]),
     ],
 )
 def test_config_value_errors_exit_1(tmp_path, capsys, command, overrides):
     code = main([command, "--config", "smoke", "--out", str(tmp_path), *overrides])
     assert code == USAGE_ERROR
     assert re.search(r"^error: ", capsys.readouterr().err, re.M)
+    assert not list(tmp_path.glob("*_manifest.json"))
 
 
 def test_unknown_config_key_in_file_rejected():
@@ -393,13 +395,32 @@ def test_usage_errors_exit_1(argv, capsys):
 
 
 def test_manifests_record_peak_rss(tmp_path, capsys):
-    assert main(["solve", "--config", "smoke", "--out", str(tmp_path)]) == 0
-    assert main(["study", "--config", "smoke", "--out", str(tmp_path)]) == 0
-    assert main(["correctors", "--config", "smoke", "--out", str(tmp_path)]) == 0
-    for name in ("solve", "study", "correctors"):
+    # each command's manifest holds exactly these keys, peak memory among them
+    common = {
+        "tool", "version", "command", "timestamp", "config_path", "overrides",
+        "resolved_config", "outputs", "peak_rss_mb", "cache",
+    }
+    expected = {
+        "solve": common | {"results"},
+        "study": common | {"reference", "invalid"},
+        "correctors": common,
+    }
+    for name, keys in expected.items():
+        assert main([name, "--config", "smoke", "--out", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+        assert set(manifest) == keys
+        assert manifest["command"] == name
         peak = manifest["peak_rss_mb"]
         assert isinstance(peak, float) and peak > 0
+    solve = json.loads((tmp_path / "solve_manifest.json").read_text())
+    assert set(solve["results"]) == {
+        "energy", "eigenvalue", "iterations", "inner_iterations", "flow_s",
+        "pre_iterations", "pre_inner_iterations", "pre_flow_s", "converged",
+        "residual", "residual_scale",
+    }
+    study = json.loads((tmp_path / "study_manifest.json").read_text())
+    assert set(study["reference"]) == {"energy", "eigenvalue", "n_dofs", "steps", "inner_iterations"}
+    capsys.readouterr()
 
 
 def test_study_no_cache_creates_no_correctors_dir(tmp_path, capsys):
@@ -409,3 +430,38 @@ def test_study_no_cache_creates_no_correctors_dir(tmp_path, capsys):
     manifest = json.loads((tmp_path / "study_manifest.json").read_text())
     assert manifest["cache"] == {"hits": 0, "misses": 2}
     assert manifest["reference"]["inner_iterations"] >= manifest["reference"]["steps"]
+
+
+def test_lod_dump_solution_maps_the_state_to_the_fine_mesh_once(tmp_path, capsys, monkeypatch):
+    # the dump writes the fine coefficients minimize already formed; in an
+    # LOD space each to_fine is a solve with A
+    calls = []
+    original = gpe_minimizer.DiscreteSpace.to_fine
+
+    def counted(self, c):
+        calls.append(self.n_dofs)
+        return original(self, c)
+
+    monkeypatch.setattr(gpe_minimizer.DiscreteSpace, "to_fine", counted)
+    sol = tmp_path / "solution.txt"
+    code = main(
+        ["solve", "--config", "smoke", "--out", str(tmp_path), "--no-cache",
+         "--dump-solution", str(sol), "solve.space=lod", "solve.coarse_cells=8"]
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert len(sol.read_text().splitlines()) == 33 * 33
+    capsys.readouterr()
+
+
+def test_coarse_fem_solve_with_cells_wider_than_the_squares(tmp_path, capsys):
+    # squares of side 1/4 align with the fine mesh (h = 1/32) but not with
+    # the coarse one (H = 1/2): the coarse space restricts the fine operators
+    code = main(
+        ["solve", "--config", "smoke", "--out", str(tmp_path), "potential.kind=checkerboard",
+         "potential.square_side=0.25", "solve.space=coarse_fem", "solve.coarse_cells=2"]
+    )
+    assert code == 0
+    res = json.loads((tmp_path / "solve_manifest.json").read_text())["results"]
+    assert res["converged"]
+    capsys.readouterr()

@@ -196,3 +196,23 @@ def test_baseline_rows():
     for lod_row, fem_row in zip(result.rows, result.baseline_rows):
         for col in ("h1", "l2", "energy", "eigenvalue"):
             assert lod_row.errors()[col] < fem_row.errors()[col]
+
+
+def test_baseline_runs_where_coarse_cells_are_wider_than_the_squares():
+    # squares of side 1/2 align with the reference mesh only; the baseline's
+    # coarse spaces are Galerkin restrictions of its operators, so the row
+    # H=1 runs too
+    cfg = _smoke_config(
+        domain=Rect(0, 2, 0, 2),
+        potential=Potential.checkerboard(0.5),
+        beta=10.0,
+        reference_cells=16,
+        H_sequence=[1.0, 0.5],
+        baseline_coarse_fem=True,
+    )
+    result = run_study(cfg)
+    assert [r.H for r in result.baseline_rows] == [1.0, 0.5]
+    assert all(not r.failed for r in result.baseline_rows), [
+        r.message for r in result.baseline_rows
+    ]
+    assert all(rate is not None for rate in result.baseline_rates.values())

@@ -4,6 +4,7 @@ from math import factorial
 
 from gplod.fem_core import (
     AssemblyError,
+    _stiffness_local,
     Potential,
     assemble_density_mass,
     assemble_operators,
@@ -25,6 +26,7 @@ from helpers import (
     quad_degree8,
     quad_points_xy_einsum,
     sliced_operators,
+    stiffness_local_einsum,
     stiffness_matrix,
 )
 
@@ -49,6 +51,13 @@ def test_quad_points_match_barycentric_sum(trap_domain, rule):
     expected = quad_points_xy_einsum(mesh, rule)
     assert xy.shape == expected.shape == (mesh.n_triangles, rule.weights.size, 2)
     assert np.abs(xy - expected).max() <= 1e-14 * np.abs(mesh.nodes).max()
+
+
+def test_stiffness_local_matches_einsum_bitwise(trap_domain):
+    # the batched (t, 3, 2) @ (t, 2, 3) product sums the same two terms in
+    # the same order as the einsum
+    mesh = uniform_mesh(trap_domain, 48)
+    assert np.array_equal(_stiffness_local(mesh), stiffness_local_einsum(mesh))
 
 
 def test_stiffness_kernel_contains_constants(unit_domain):

@@ -233,15 +233,28 @@ def test_coarse_fem_space_minimization(unit_domain):
     # coarse P1 minimizer: its fine representation feeds the error pipeline
     hierarchy = build_hierarchy(unit_domain, 8, 2)
     V = Potential.constant(1.0)
-    ops_coarse = assemble_operators(hierarchy.coarse, V)
     ops_fine = assemble_operators(hierarchy.fine, V)
-    space = coarse_fem_space(hierarchy, ops_coarse)
+    space = coarse_fem_space(hierarchy, ops_fine)
     state = minimize(space, V, 5.0)
     assert state.converged
     assert state.fine_coeffs.shape == (hierarchy.fine.n_interior,)
     fine_state = minimize(fine_space(ops_fine), V, 5.0)
     # minimum over the subspace cannot beat the fine minimum
     assert state.energy >= fine_state.energy - 1e-12
+
+
+@pytest.mark.parametrize("coarse_cells, refinements", [(48, 1), (6, 4), (24, 3)])
+def test_coarse_fem_operators_match_coarse_assembly(trap_domain, coarse_cells, refinements):
+    # for a potential the coarse mesh integrates exactly, the Galerkin
+    # restrictions P^T A P and P^T M P are the coarse-mesh operators
+    hierarchy = build_hierarchy(trap_domain, coarse_cells, refinements)
+    V = Potential.harmonic()
+    space = coarse_fem_space(hierarchy, assemble_operators(hierarchy.fine, V))
+    ops_coarse = assemble_operators(hierarchy.coarse, V)
+    for got, expected in ((space.A, ops_coarse.A), (space.M, ops_coarse.M)):
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        assert abs(got - expected).max() <= 1e-14 * abs(expected).max()
 
 
 @pytest.mark.parametrize("beta", [0.0, 50.0])
@@ -254,7 +267,7 @@ def test_energy_of_matches_fem_core_energy(unit_domain, rng, beta):
     ops_coarse = assemble_operators(hierarchy.coarse, V)
     for ops, space in (
         (ops_fine, fine_space(ops_fine)),
-        (ops_coarse, coarse_fem_space(hierarchy, ops_coarse)),
+        (ops_coarse, coarse_fem_space(hierarchy, ops_fine)),
     ):
         c = rng.random(ops.n_dofs)
         expected = energy(ops, c, beta)
@@ -275,7 +288,7 @@ def test_project_fine_matches_direct_formulas(
     ops_coarse = assemble_operators(small_hierarchy.coarse, small_ops.potential)
     P = small_hierarchy.prolongation_interior()
     expected = Factorization(ops_coarse.M, ops_coarse.ordering).solve(P.T @ (M @ v))
-    got = coarse_fem_space(small_hierarchy, ops_coarse).project_fine(v, M)
+    got = coarse_fem_space(small_hierarchy, small_ops).project_fine(v, M)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
     # fine P1: the identity
     assert fine_space(small_ops).project_fine(v, M) is v
@@ -288,7 +301,7 @@ def trap_spaces(trap_domain):
     hierarchy = build_hierarchy(trap_domain, 12, 2)
     ops = assemble_operators(hierarchy.fine, V)
     lod = compute_correctors(hierarchy, ops, build_constraint(hierarchy, ops.M))
-    coarse = coarse_fem_space(hierarchy, assemble_operators(hierarchy.coarse, V))
+    coarse = coarse_fem_space(hierarchy, ops)
     return V, {"lod": lod_discrete_space(lod, ops), "fine": fine_space(ops), "coarse": coarse}
 
 

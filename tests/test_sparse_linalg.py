@@ -181,3 +181,14 @@ def test_ordered_solve_matches_colamd(trap_domain, matrix, rng):
         x = fac.solve(b)
         assert x.shape == b.shape
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_nbytes_counts_the_cached_l_and_u_copies(trap_domain):
+    # reading the pivots made scipy build and cache CSC copies of both L and
+    # U; reading them again allocates nothing, and nbytes counts both
+    ops = assemble_operators(uniform_mesh(trap_domain, 24), Potential.harmonic())
+    fac = Factorization(ops.A, ops.ordering)
+    lu = fac._lu
+    assert lu.L is lu.L and lu.U is lu.U
+    copies = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes for X in (lu.L, lu.U))
+    assert fac.nbytes == 12 * lu.nnz + copies + fac._order.nbytes
