@@ -258,13 +258,13 @@ def cmd_solve(args, resolved):
             raise ConfigError(f"unknown space {space_kind!r}")
         potential.check_alignment(mesh)
 
-    cache = {"hits": 0, "misses": 0}
+    hit = None  # the corrector-cache lookup of an LOD space
     fine_ops = assemble_operators(mesh, potential)
     if space_kind == "fine_fem":
         space = fine_space(fine_ops)
     else:
         cache_dir = _cache_dir_from(resolved, args.out, not args.no_cache)
-        space, _ = hierarchy_space(space_kind, hierarchy, fine_ops, cache_dir, cache)
+        space, hit = hierarchy_space(space_kind, hierarchy, fine_ops, cache_dir)
 
     t0 = time.perf_counter()
     state = minimize(space, potential, beta, flow)
@@ -291,7 +291,7 @@ def cmd_solve(args, resolved):
         outputs.append(Path(args.dump_mesh))
 
     extra = {
-        "cache": cache,
+        "cache": {"hits": int(hit is True), "misses": int(hit is False)},
         "results": {
             "energy": state.energy,
             "eigenvalue": state.eigenvalue,
@@ -339,6 +339,7 @@ def cmd_study(args, resolved):
 
     extra = {
         "cache": {"hits": result.cache_hits, "misses": result.cache_misses},
+        "workers": result.workers,
         "reference": {
             k: result.reference[k]
             for k in ("energy", "eigenvalue", "n_dofs", "steps", "inner_iterations")

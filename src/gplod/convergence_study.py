@@ -6,11 +6,17 @@ minimizes there from the projected reference, and tabulates H1, L2,
 energy, and eigenvalue errors relative to the reference with
 least-squares convergence rates.  An optional plain-P1 baseline runs the
 same pipeline on the coarse P1 spaces, Galerkin restrictions of the
-reference operators; only the reference mesh is assembled.
+reference operators; only the reference mesh is assembled.  Once the
+reference exists the rows are independent, and ``run_study`` runs them,
+and the reference itself, on one thread per CPU.
 """
 
+import os
+import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -117,6 +123,7 @@ class StudyResult:
     message: str = ""
     cache_hits: int = 0
     cache_misses: int = 0
+    workers: int = 1  # threads the study ran on
 
 
 def fit_rate(hs, errs):
@@ -174,12 +181,11 @@ def _reference_flow(config):
     return replace(config.flow, tol_energy=min(config.flow.tol_energy, 1e-12))
 
 
-def _compute_reference(config, log):
-    mesh = uniform_mesh(config.domain, config.reference_cells)
-    ops = assemble_operators(mesh, config.potential)
-    space = fine_space(ops)
+def _compute_reference(config, ops, log):
+    """Minimize in the fine space of the reference operators ``ops``; returns
+    the state and the reference dict the rows are measured against."""
     t0 = time.perf_counter()
-    state = minimize(space, config.potential, config.beta, _reference_flow(config))
+    state = minimize(fine_space(ops), config.potential, config.beta, _reference_flow(config))
     wall = time.perf_counter() - t0
     l2, h1 = norms(ops, state.fine_coeffs)
     log(
@@ -200,7 +206,7 @@ def _compute_reference(config, log):
         "wall_time_s": wall,
         "converged": state.converged,
     }
-    return ops, state, ref
+    return state, ref
 
 
 def _saturation_estimate(config, ops_fine, ref_state, ref, log):
@@ -245,93 +251,163 @@ def _apply_saturation_warnings(rows, estimate):
                 )
 
 
-def hierarchy_space(kind, hierarchy, ops_fine, cache_dir, cache):
+def hierarchy_space(kind, hierarchy, ops_fine, cache_dir):
     """The ``"lod"`` or ``"coarse_fem"`` space of a hierarchy whose fine-mesh
-    operators are ``ops_fine``, and whether it came from the corrector cache.
-
-    LOD correctors come from ``lod_space_cached(..., cache_dir)``, and the
-    lookup is counted in ``cache["hits"]`` or ``cache["misses"]``.
+    operators are ``ops_fine``, and its corrector-cache lookup: True (hit)
+    or False (miss) for LOD correctors, which come from
+    ``lod_space_cached(..., cache_dir)``, None for a coarse P1 space.
     """
     if kind == "lod":
         lod, hit = lod_space_cached(hierarchy, ops_fine, cache_dir=cache_dir)
-        cache["hits" if hit else "misses"] += 1
         return lod_discrete_space(lod, ops_fine), hit
     if kind == "coarse_fem":
-        return coarse_fem_space(hierarchy, ops_fine), False
+        return coarse_fem_space(hierarchy, ops_fine), None
     raise ValueError(f"unknown space {kind!r}")
 
 
-def _space_rows(config, kind, ops_fine, ref_state, ref, cache, log, label=""):
-    """Minimize in the ``kind`` space (``hierarchy_space``) of each H, warm
-    started from the projected reference, and tabulate its errors against
-    the reference.
+def _worker_count():
+    """Threads a study runs on: one per CPU the process may run on, or per
+    CPU of the machine where the platform has no affinity call."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
-    A failing row is recorded and the remaining rows still run.
+
+class _Stopwatch:
+    """Context manager that sums the seconds spent inside it."""
+
+    def __init__(self):
+        self.elapsed = 0.0
+
+    def __enter__(self):
+        self._t0 = time.perf_counter()
+
+    def __exit__(self, *exc_info):
+        self.elapsed += time.perf_counter() - self._t0
+
+
+def _space_row(config, kind, H, ops_fine, reference, build_lock):
+    """One row: minimize in the ``kind`` space (``hierarchy_space``) of H,
+    warm started from the projected reference, and tabulate its errors
+    against the reference.
+
+    The space is built first, an LOD one under ``build_lock`` (one corrector
+    build at a time); then the row waits for the future ``reference``
+    (``(state, ref)`` of ``_compute_reference``).  ``wall_time_s`` counts the
+    row's own work, not these two waits.  Returns the row and its cache
+    lookup (None if none completed).  A failure is recorded in the row, not
+    raised.
     """
-    rows = []
-    for H in config.H_sequence:
-        row = StudyRow(H=H)
-        t0 = time.perf_counter()
-        try:
+    row = StudyRow(H=H)
+    lookup = None
+    clock = _Stopwatch()
+    try:
+        with clock:
             hierarchy = build_hierarchy(
                 config.domain, config.coarse_cells(H), config.refinements(H)
             )
-            space, row.cache_hit = hierarchy_space(
-                kind, hierarchy, ops_fine, config.cache_dir, cache
-            )
+        with build_lock if kind == "lod" else nullcontext(), clock:
+            space, lookup = hierarchy_space(kind, hierarchy, ops_fine, config.cache_dir)
+        row.cache_hit = bool(lookup)
+        ref_state, ref = reference.result()
+        with clock:
             c0 = space.project_fine(ref_state.fine_coeffs, ops_fine.M)
             state = minimize(space, config.potential, config.beta, config.flow, start=c0)
             state = sign_align(state, ref_state.fine_coeffs, ops_fine.M)
             _error_row(row, state, ref_state.fine_coeffs, ref, ops_fine)
-        except Exception as exc:
-            row.failed = True
-            row.message = f"{type(exc).__name__}: {exc}"
-        row.wall_time_s = time.perf_counter() - t0
-        if row.failed:
-            log(f"{label}H={H}: FAILED ({row.message})")
-        else:
-            log(
-                f"{label}H={H}: err_h1={row.err_h1:.3e} err_l2={row.err_l2:.3e} "
-                f"err_E={row.err_energy:.3e} err_lam={row.err_eigenvalue:.3e} "
-                f"({row.iterations} steps, {row.wall_time_s:.1f}s"
-                + (", cached correctors)" if row.cache_hit else ")")
-            )
-        rows.append(row)
-    return rows
+    except Exception as exc:
+        row.failed = True
+        row.message = f"{type(exc).__name__}: {exc}"
+    row.wall_time_s = clock.elapsed
+    return row, lookup
+
+
+def _row_line(row, label):
+    if row.failed:
+        return f"{label}H={row.H}: FAILED ({row.message})"
+    return (
+        f"{label}H={row.H}: err_h1={row.err_h1:.3e} err_l2={row.err_l2:.3e} "
+        f"err_E={row.err_energy:.3e} err_lam={row.err_eigenvalue:.3e} "
+        f"({row.iterations} steps, {row.wall_time_s:.1f}s"
+        + (", cached correctors)" if row.cache_hit else ")")
+    )
 
 
 def run_study(config, log=None):
-    """Run the full study: reference, per-H LOD rows, rate fits, baseline."""
+    """Run the full study: reference, per-H LOD rows, rate fits, baseline.
+
+    Once the reference operators are assembled, the work runs on one thread
+    per CPU (``_worker_count``), submitted in the order of a sequential run:
+    the reference flow, one task per LOD row, the saturation estimate and
+    one task per baseline row.  A row task builds its space and waits for
+    the reference; LOD rows take one lock for their corrector builds and
+    are submitted finest H first, so at most one build is in memory.
+    ``log`` is called from this thread only, in the order of a sequential
+    run, and the result does not depend on the number of threads.
+    """
     log = log or (lambda msg: None)
     config.validate()
-    ops_fine, ref_state, ref = _compute_reference(config, log)
+    ops_fine = assemble_operators(
+        uniform_mesh(config.domain, config.reference_cells), config.potential
+    )
+    workers = _worker_count()
+    build_lock = threading.Lock()
+    reference_lines, saturation_lines = [], []
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        reference = pool.submit(_compute_reference, config, ops_fine, reference_lines.append)
 
-    invalid = False
-    message = ""
-    if ref["residual"] > _REFERENCE_RESIDUAL_RTOL * ref["residual_scale"]:
-        invalid = True
-        message = (
-            f"reference stationarity residual {ref['residual'] / ref['residual_scale']:.3e} "
-            f"exceeds {_REFERENCE_RESIDUAL_RTOL:g}"
-        )
-        log(f"WARNING: {message}")
+        def submit(kind, H):
+            return pool.submit(_space_row, config, kind, H, ops_fine, reference, build_lock)
 
-    cache = {"hits": 0, "misses": 0}
-    rows = _space_rows(config, "lod", ops_fine, ref_state, ref, cache, log)
+        Hs = config.H_sequence
+        lod_futures = [None] * len(Hs)  # in the order of Hs, submitted finest first
+        for i in sorted(range(len(Hs)), key=lambda i: Hs[i]):
+            lod_futures[i] = submit("lod", Hs[i])
+        saturation = None
+        if config.saturation_check:
+            saturation = pool.submit(
+                lambda: _saturation_estimate(
+                    config, ops_fine, *reference.result(), saturation_lines.append
+                )
+            )
+        baseline = config.baseline_coarse_fem
+        baseline_futures = [submit("coarse_fem", H) for H in Hs] if baseline else []
 
-    if config.saturation_check:
-        estimate = _saturation_estimate(config, ops_fine, ref_state, ref, log)
-        _apply_saturation_warnings(rows, estimate)
+        _, ref = reference.result()
+        for line in reference_lines:
+            log(line)
+        invalid = False
+        message = ""
+        if ref["residual"] > _REFERENCE_RESIDUAL_RTOL * ref["residual_scale"]:
+            invalid = True
+            message = (
+                f"reference stationarity residual {ref['residual'] / ref['residual_scale']:.3e} "
+                f"exceeds {_REFERENCE_RESIDUAL_RTOL:g}"
+            )
+            log(f"WARNING: {message}")
 
-    rates = _fit_all(rows)
+        lookups = []
 
-    baseline_rows = []
-    baseline_rates = {}
-    if config.baseline_coarse_fem:
-        baseline_rows = _space_rows(
-            config, "coarse_fem", ops_fine, ref_state, ref, cache, log, label="baseline "
-        )
-        baseline_rates = _fit_all(baseline_rows)
+        def collect(futures, label=""):
+            rows = []
+            for future in futures:
+                row, lookup = future.result()
+                log(_row_line(row, label))
+                rows.append(row)
+                lookups.append(lookup)
+            return rows
+
+        rows = collect(lod_futures)
+        if saturation is not None:
+            estimate = saturation.result()
+            for line in saturation_lines:
+                log(line)
+            _apply_saturation_warnings(rows, estimate)
+        rates = _fit_all(rows)
+        baseline_rows = collect(baseline_futures, label="baseline ")
+        baseline_rates = _fit_all(baseline_rows) if baseline else {}
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     return StudyResult(
         config=config,
@@ -342,8 +418,9 @@ def run_study(config, log=None):
         baseline_rates=baseline_rates,
         invalid=invalid,
         message=message,
-        cache_hits=cache["hits"],
-        cache_misses=cache["misses"],
+        cache_hits=lookups.count(True),
+        cache_misses=lookups.count(False),
+        workers=workers,
     )
 
 

@@ -261,16 +261,18 @@ def _interior_csr(pattern, local):
     return sparse.csr_matrix((data[: indices.size], indices, indptr), shape=(n, n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeOperators:
     """Assembled P1 operators over interior (non-boundary) dofs.
 
     K, M, MV are the stiffness, mass, and potential-weighted mass on the
-    interior dofs; ``dof_map`` lists the node index of each interior dof.
-    ``pattern`` is the interior CSR pattern (``_interior_pattern``) that
-    K, M, MV and every density mass fill.  Built on first use and kept:
-    ``A`` and the nested-dissection ``ordering`` of the interior dofs for
-    sparse factorizations.
+    interior dofs, and A = K + MV is the bilinear form matrix (gradient and
+    potential terms); ``dof_map`` lists the node index of each interior
+    dof.  ``pattern`` is the interior CSR pattern (``_interior_pattern``)
+    that K, M, MV and every density mass fill, and ``ordering`` the
+    nested-dissection order of the interior dofs (``mesh.nested_dissection``)
+    for sparse factorizations.  Every field is set by ``assemble_operators``
+    and none changes afterwards, so threads may share one instance.
     """
 
     mesh: object
@@ -279,28 +281,14 @@ class FeOperators:
     K: sparse.csr_matrix
     M: sparse.csr_matrix
     MV: sparse.csr_matrix
+    A: sparse.csr_matrix
     dof_map: np.ndarray
     pattern: tuple = field(repr=False)
-    _A: sparse.csr_matrix = field(default=None, repr=False)
-    _ordering: np.ndarray = field(default=None, repr=False)
+    ordering: np.ndarray = field(repr=False)
 
     @property
     def n_dofs(self):
         return self.dof_map.size
-
-    @property
-    def A(self):
-        """The bilinear form matrix K + MV (gradient and potential terms)."""
-        if self._A is None:
-            self._A = (self.K + self.MV).tocsr()
-        return self._A
-
-    @property
-    def ordering(self):
-        """Nested-dissection order of the interior dofs (``mesh.nested_dissection``)."""
-        if self._ordering is None:
-            self._ordering = nested_dissection(self.mesh)
-        return self._ordering
 
     def expand(self, u_interior):
         """Zero-pad interior coefficients to a full nodal vector."""
@@ -315,7 +303,8 @@ class FeOperators:
 
 def assemble_operators(mesh, potential, quad=None):
     """Assemble stiffness, mass, and potential mass on the interior dofs
-    (Dirichlet elimination): each fills the one interior CSR pattern."""
+    (Dirichlet elimination): each fills the one interior CSR pattern.  A
+    and the nested-dissection ordering are formed here too."""
     if quad is None:
         quad = DEFAULT_QUAD
     if quad.degree < 2:
@@ -327,7 +316,8 @@ def assemble_operators(mesh, potential, quad=None):
     K = _interior_csr(pattern, _stiffness_local(mesh))
     M = _interior_csr(pattern, _mass_local(mesh))
     MV = _interior_csr(pattern, _potential_local(mesh, potential, quad))
-    return FeOperators(mesh, potential, quad, K, M, MV, dof, pattern)
+    A = (K + MV).tocsr()
+    return FeOperators(mesh, potential, quad, K, M, MV, A, dof, pattern, nested_dissection(mesh))
 
 
 def assemble_density_mass(ops, u_interior):

@@ -402,7 +402,7 @@ def test_manifests_record_peak_rss(tmp_path, capsys):
     }
     expected = {
         "solve": common | {"results"},
-        "study": common | {"reference", "invalid"},
+        "study": common | {"reference", "invalid", "workers"},
         "correctors": common,
     }
     for name, keys in expected.items():

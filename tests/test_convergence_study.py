@@ -1,4 +1,7 @@
+import dataclasses
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -216,3 +219,98 @@ def test_baseline_runs_where_coarse_cells_are_wider_than_the_squares():
         r.message for r in result.baseline_rows
     ]
     assert all(rate is not None for rate in result.baseline_rates.values())
+
+
+def test_study_result_does_not_depend_on_the_worker_count(monkeypatch):
+    # one worker runs the study's tasks one at a time; two, and four (more
+    # than a two-core machine has cores), run them at once with frequent
+    # thread switches: every output but the wall times is the same, log
+    # lines included
+    import gplod.convergence_study as study_mod
+
+    def run(workers):
+        monkeypatch.setattr(study_mod, "_worker_count", lambda: workers)
+        lines, results = [], []
+        cfg = _smoke_config(saturation_check=True, baseline_coarse_fem=True)
+        thread = threading.Thread(
+            target=lambda: results.append(run_study(cfg, log=lines.append)), daemon=True
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and len(results) == 1
+        result = results[0]
+        assert result.workers == workers
+        rows = []
+        for row in result.rows + result.baseline_rows:
+            fields = dataclasses.asdict(row)
+            del fields["wall_time_s"]
+            rows.append(fields)
+        reference = dict(result.reference)
+        del reference["wall_time_s"]
+        return (
+            rows,
+            result.fitted_rates,
+            result.baseline_rates,
+            reference,
+            (result.invalid, result.message, result.cache_hits, result.cache_misses),
+            [re.sub(r"\d+\.\ds\b", "<seconds>", line) for line in lines],
+        )
+
+    sequential = run(1)
+    assert any(row["warnings"] for row in sequential[0])  # saturation warnings compared
+    assert sequential[4][2:] == (0, 2)
+    assert run(2) == sequential
+    assert run(4) == sequential
+
+
+def test_reference_failure_raises(monkeypatch):
+    # a reference that cannot be computed still fails the whole study
+    import gplod.convergence_study as study_mod
+
+    def failing(config, ops, log):
+        raise ArithmeticError("synthetic reference failure")
+
+    monkeypatch.setattr(study_mod, "_compute_reference", failing)
+    with pytest.raises(ArithmeticError, match="synthetic"):
+        run_study(_smoke_config())
+
+
+def test_worker_count_without_an_affinity_call(monkeypatch):
+    # platforms such as macOS and Windows have no os.sched_getaffinity; the
+    # study then runs one thread per CPU of the machine, and one if that
+    # count is unknown
+    import os
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    result = run_study(_smoke_config())
+    assert result.workers == 2
+    assert all(not row.failed for row in result.rows)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_study(_smoke_config()).workers == 1
+
+
+def test_row_wall_time_excludes_the_wait_for_the_reference(monkeypatch):
+    # with two workers the rows are built while the reference runs; a row's
+    # wall_time_s is its own work, not the time it waited for the reference
+    import time
+
+    import gplod.convergence_study as study_mod
+
+    compute_reference = study_mod._compute_reference
+
+    def slow_reference(config, ops, log):
+        time.sleep(2.0)
+        return compute_reference(config, ops, log)
+
+    monkeypatch.setattr(study_mod, "_worker_count", lambda: 2)
+    monkeypatch.setattr(study_mod, "_compute_reference", slow_reference)
+    t0 = time.perf_counter()
+    result = run_study(_smoke_config())
+    assert time.perf_counter() - t0 > 2.0
+    assert all(not row.failed and row.wall_time_s < 1.5 for row in result.rows)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from math import factorial
@@ -15,7 +17,7 @@ from gplod.fem_core import (
     quad_degree4,
     quad_points_xy,
 )
-from gplod.mesh import Rect, build_hierarchy, uniform_mesh
+from gplod.mesh import Rect, build_hierarchy, nested_dissection, uniform_mesh
 from gplod.sparse_linalg import Factorization
 
 from helpers import (
@@ -136,6 +138,17 @@ def test_operators_match_sliced_full_node(trap_domain, potential):
     assert abs(ops.MV - MV).max() <= 1e-15 * abs(MV).max()
     # K, M and MV share the pattern's index arrays
     assert np.shares_memory(ops.K.indices, ops.MV.indices)
+
+
+def test_operators_are_complete_and_frozen_after_assembly(trap_domain):
+    # study threads share one FeOperators: assembly forms A and the ordering,
+    # and no field can be set afterwards
+    mesh = uniform_mesh(trap_domain, 24)
+    ops = assemble_operators(mesh, Potential.harmonic())
+    assert (ops.A != (ops.K + ops.MV)).nnz == 0
+    assert np.array_equal(ops.ordering, nested_dissection(mesh))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ops.A = ops.K
 
 
 def test_checkerboard_exact_average(trap_domain):

@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import linalg as dense_linalg
@@ -192,3 +195,43 @@ def test_nbytes_counts_the_cached_l_and_u_copies(trap_domain):
     assert lu.L is lu.L and lu.U is lu.U
     copies = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes for X in (lu.L, lu.U))
     assert fac.nbytes == 12 * lu.nnz + copies + fac._order.nbytes
+
+
+def _on_two_threads(tasks, rounds=5):
+    """Results of each round of running the two ``tasks`` at once, released
+    together by a barrier."""
+    barrier = threading.Barrier(2)
+
+    def run(task):
+        barrier.wait()
+        return task()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return [[f.result() for f in [pool.submit(run, t) for t in tasks]] for _ in range(rounds)]
+
+
+@pytest.mark.parametrize("storage", ["sparse", "dense"])
+def test_concurrent_factorizations_and_solves_match_sequential(storage, trap_domain, rng):
+    # a study factors and solves on several threads at once: two threads
+    # factoring and solving with two different SPD matrices, and two threads
+    # sharing one factor, reproduce the sequential results bit for bit
+    if storage == "sparse":
+        ops = assemble_operators(uniform_mesh(trap_domain, 48), Potential.harmonic())
+        matrices, ordering = [ops.A, ops.M / 0.5 + ops.A], ops.ordering
+    else:  # full m x m matrices, as in an LOD flow
+        ordering = None
+        matrices = [G @ G.T + 400 * np.eye(400) for G in rng.standard_normal((2, 400, 400))]
+    rhs = [rng.standard_normal((H.shape[0], 8)) for H in matrices]
+
+    def factor_and_solve(i):
+        return lambda: spd_solver(matrices[i], ordering)(rhs[i])
+
+    shared = spd_solver(matrices[0], ordering)
+
+    def shared_solve(i):
+        return lambda: shared(rhs[i])
+
+    for make in (factor_and_solve, shared_solve):
+        expected = [make(i)() for i in range(2)]
+        for results in _on_two_threads([make(0), make(1)]):
+            assert all(np.array_equal(x, e) for x, e in zip(results, expected))
