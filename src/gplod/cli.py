@@ -276,6 +276,7 @@ def cmd_solve(args, resolved):
         print(f"coarse-density steps: {state.pre_steps} ({state.pre_seconds:.2f}s)")
     flow_s = wall - state.pre_seconds
     print(f"iterations: {state.steps_taken} ({flow_s:.2f}s), converged: {state.converged}")
+    print(f"newton steps: {state.newton_steps}")
     print(f"stationarity residual: {state.residual / state.residual_scale:.2e} (relative)")
 
     outputs = []
@@ -296,6 +297,7 @@ def cmd_solve(args, resolved):
             "energy": state.energy,
             "eigenvalue": state.eigenvalue,
             "iterations": state.steps_taken,
+            "newton_steps": state.newton_steps,
             "inner_iterations": state.inner_iterations.tolist(),
             "flow_s": flow_s,
             "pre_iterations": state.pre_steps,
@@ -310,6 +312,17 @@ def cmd_solve(args, resolved):
         print(f"error: {state.message}", file=sys.stderr)
         return NUMERICAL_ERROR, outputs, extra
     return 0, outputs, extra
+
+
+def _row_record(row):
+    """A study row's H, step counts and stationarity residual."""
+    return {
+        "H": row.H,
+        "steps": row.iterations,
+        "newton_steps": row.newton_steps,
+        "residual": row.residual,
+        "residual_scale": row.residual_scale,
+    }
 
 
 def cmd_study(args, resolved):
@@ -342,8 +355,13 @@ def cmd_study(args, resolved):
         "workers": result.workers,
         "reference": {
             k: result.reference[k]
-            for k in ("energy", "eigenvalue", "n_dofs", "steps", "inner_iterations")
+            for k in (
+                "energy", "eigenvalue", "n_dofs", "steps", "newton_steps", "inner_iterations",
+                "residual", "residual_scale",
+            )
         },
+        "rows": [_row_record(row) for row in result.rows],
+        "baseline_rows": [_row_record(row) for row in result.baseline_rows],
         "invalid": result.invalid,
     }
     if result.invalid:

@@ -17,7 +17,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,6 +94,9 @@ class StudyRow:
     err_energy: float = np.nan
     err_eigenvalue: float = np.nan
     iterations: int = 0
+    newton_steps: int = 0
+    residual: float = np.nan
+    residual_scale: float = np.nan
     wall_time_s: float = 0.0
     energy: float = np.nan
     eigenvalue: float = np.nan
@@ -170,22 +173,21 @@ def _error_row(row, state, u_ref, ref, ops_fine):
     row.err_energy = err_energy / abs(ref["energy"])
     row.err_eigenvalue = err_eig / abs(ref["eigenvalue"])
     row.energy, row.eigenvalue = state.energy, state.eigenvalue
-    row.iterations = state.steps_taken
+    row.iterations, row.newton_steps = state.steps_taken, state.newton_steps
+    row.residual, row.residual_scale = state.residual, state.residual_scale
     if not state.converged:
-        # errors stay available for inspection, but the row is untrusted
+        # a relative stationarity residual above the solve's target, or a
+        # failed inner solve: errors stay available for inspection, but the
+        # row is untrusted
         row.failed = True
         row.message = state.message
-
-
-def _reference_flow(config):
-    return replace(config.flow, tol_energy=min(config.flow.tol_energy, 1e-12))
 
 
 def _compute_reference(config, ops, log):
     """Minimize in the fine space of the reference operators ``ops``; returns
     the state and the reference dict the rows are measured against."""
     t0 = time.perf_counter()
-    state = minimize(fine_space(ops), config.potential, config.beta, _reference_flow(config))
+    state = minimize(fine_space(ops), config.potential, config.beta, config.flow)
     wall = time.perf_counter() - t0
     l2, h1 = norms(ops, state.fine_coeffs)
     log(
@@ -198,6 +200,7 @@ def _compute_reference(config, ops, log):
         "eigenvalue": state.eigenvalue,
         "n_dofs": ops.n_dofs,
         "steps": state.steps_taken,
+        "newton_steps": state.newton_steps,
         "inner_iterations": int(state.inner_iterations.sum()),
         "residual": state.residual,
         "residual_scale": state.residual_scale,
@@ -222,7 +225,7 @@ def _saturation_estimate(config, ops_fine, ref_state, ref, log):
             coarse_fem_space(hierarchy, ops_fine),
             config.potential,
             config.beta,
-            _reference_flow(config),
+            config.flow,
         )
         diff = ref_state.fine_coeffs - state.fine_coeffs
         l2, h1 = norms(ops_fine, diff)

@@ -1,4 +1,5 @@
-"""Constrained energy minimization by a normalized gradient flow.
+"""Constrained energy minimization: normalized gradient flow steps,
+finished by Newton steps.
 
 One flow step is the semi-implicit backward Euler solve
 
@@ -21,14 +22,28 @@ the matrix fills the pattern of M, and its factor costs what that of
 M / tau + A does.  In an LOD space N~ is the sparse coarse density mass
 of P_H u_0 (the density of the coarse-density flow below), added to the
 dense m x m matrix M / tau + A before its Cholesky factorization, so B is
-not applied to form it.  The iteration stops when the energy decrease
-per unit pseudo-time falls below the tolerance.
+not applied to form it.
 
-Each flow state u is evaluated once: its assembly-mesh coefficients w
-and N(w) give the next step's density term, ||u||_L4^4 = w . (N w) for
-its energy (exact: the degree-4 rule integrates |u|^4), and, for the
-last state, the eigenvalue and the stationarity residual.  At beta = 0
-no N is assembled or applied, and no state is taken to the assembly mesh.
+The flow converges linearly.  Once the relative stationarity residual
+||(A + beta N(u)) u - lambda M u|| / ||(A + beta N(u)) u|| is at most
+``_NEWTON_SWITCH_RTOL``, Newton steps on the eigenproblem take over until
+it is at most ``_RESIDUAL_RTOL`` (``_newton``).  Each solves twice with
+J0 = A + 3 beta N(u) - lambda M, which is positive definite at the ground
+state for beta > 0 (Cances, Chakir and Maday, J. Sci. Comput. 2010), by
+the same PCG: the density term is 3 beta N(u), and the preconditioner is
+one factorization of the flow's matrix with A - lambda M in place of
+M / tau + A and 3 beta for beta.  Only as many PCG iterations are made as
+keep the solve's own error below the target.  The flow's factor is freed
+before that one is made.  At beta = 0, where J0 is singular at the ground
+state, and whenever Newton fails (its factorization rejected, a PCG solve
+failed, or a step that does not lower the residual), flow steps run to the
+target.
+
+Each state u is evaluated once: its assembly-mesh coefficients w and N(w)
+give the next step's density term, ||u||_L4^4 = w . (N w) for its energy
+(exact: the degree-4 rule integrates |u|^4), its eigenvalue, and its
+stationarity residual.  At beta = 0 no N is assembled or applied, and no
+state is taken to the assembly mesh.
 
 In an LOD space, a flow from the Thomas-Fermi profile (no ``start``)
 runs the two-level discretization of Henning, Malqvist and Peterseim
@@ -37,9 +52,10 @@ the L2 projection P_H of the LOD function B c onto coarse P1 is the coarse
 P1 function with the same coefficients c.  The coarse-density flow
 replaces |u|^2 in the density term by |P_H u|^2: its N is the sparse coarse
 density mass, so each of its steps uses only m x m matrices and never B.
-The exact flow then continues from its coefficients, to the same
-tolerance.  A start given as a coefficient vector (a warm start) runs the
-exact flow alone.
+It stops when the energy decrease per unit pseudo-time falls below
+``tol_energy``, and the exact flow and Newton steps continue from its
+coefficients.  A start given as a coefficient vector (a warm start) runs
+the exact phase alone.
 """
 
 import time
@@ -56,7 +72,7 @@ from .fem_core import (
     eigenvalue_from_state,
     potential_at_quadrature,
 )
-from .sparse_linalg import spd_solver
+from .sparse_linalg import SingularMatrixError, spd_solver
 
 __all__ = [
     "FlowParams",
@@ -73,11 +89,16 @@ __all__ = [
 # PCG on the shifted system: relative residual target and iteration cap
 _PCG_RTOL = 1e-13
 _PCG_MAX_ITERATIONS = 500
+# relative stationarity residual at which the flow hands over to Newton
+# steps, and at which a solve has converged
+_NEWTON_SWITCH_RTOL = 1e-2
+_RESIDUAL_RTOL = 1e-10
 
 
 @dataclass
 class FlowParams:
-    """Pseudo-time step, stopping tolerance on |dE|/tau, and step limit."""
+    """Pseudo-time step, the coarse-density flow's stopping tolerance on
+    |dE|/tau, and the step limit of each phase of a solve."""
 
     tau: float = 0.5
     tol_energy: float = 1e-10
@@ -97,14 +118,17 @@ class GroundState:
     """Converged (or diagnosed) state of one minimization.
 
     ``coeffs`` lives in the space's own coordinates, ``fine_coeffs`` is its
-    fine-mesh interior representation.  ``energy_history`` starts with the
-    energy of the start; ``inner_iterations`` holds the PCG
-    iteration count of each completed step.  Those and ``steps_taken``
-    belong to the exact flow; the ``pre_`` fields record the flow in the
-    space's ``pre_space`` that ran before it (the coarse-density flow of an
-    LOD space from the Thomas-Fermi profile): its steps, their PCG counts
-    and its seconds.  ``residual`` and ``residual_scale`` are the Euclidean
-    norms of (A + beta N(u)) u - lambda M u and of (A + beta N(u)) u.
+    fine-mesh interior representation.  ``steps_taken`` counts the flow
+    and Newton steps of the exact phase, ``newton_steps`` the latter;
+    ``energy_history`` starts with the energy of the exact phase's start
+    and adds one per step; ``inner_iterations`` holds the PCG iteration
+    count of each completed step (for a Newton step, of its two solves
+    together).  The ``pre_`` fields record the flow in the space's
+    ``pre_space`` that ran before it (the coarse-density flow of an LOD
+    space from the Thomas-Fermi profile): its steps, their PCG counts and
+    its seconds.  ``residual`` and ``residual_scale`` are the Euclidean
+    norms of (A + beta N(u)) u - lambda M u and of (A + beta N(u)) u;
+    ``converged`` means that their ratio is at most ``_RESIDUAL_RTOL``.
     """
 
     coeffs: np.ndarray
@@ -112,6 +136,7 @@ class GroundState:
     energy: float
     eigenvalue: float
     steps_taken: int
+    newton_steps: int
     energy_history: np.ndarray
     inner_iterations: np.ndarray
     converged: bool
@@ -188,15 +213,16 @@ class DiscreteSpace:
         """1/2 c^T A c + beta/4 ||u||_L4^4, with l4 = ||u||_L4^4."""
         return 0.5 * float(c @ (self.A @ c)) + 0.25 * beta * l4
 
-    def solve_shifted(self, H, precondition, N, beta, rhs, x0=None):
+    def solve_shifted(self, H, precondition, N, beta, rhs, x0=None, rtol=_PCG_RTOL):
         """Solve (H + beta R^T N R) x = rhs in space coordinates by PCG.
 
-        H is the linear part M/tau + A of a flow step and ``precondition``
-        an approximate solve with H + beta R^T N R (the flow's factor of
+        H is the linear part of the matrix (M/tau + A in a flow step, the
+        operator A - lambda M in a Newton step) and ``precondition`` an
+        approximate solve with H + beta R^T N R (a factor of
         H + beta N~(u_0)).  N is what ``nonlinear_matrix`` returns, applied
         through ``density_product``; None (at beta = 0) drops the density
         term.  PCG starts from ``x0`` (zero if None) and stops at the
-        relative residual target, measured against ``rhs``, whatever the
+        relative residual ``rtol``, measured against ``rhs``, whatever the
         start.  Returns ``(x, iterations, info)`` with ``info`` from
         ``scipy.sparse.linalg.cg`` (0 when the relative residual reached
         the target).
@@ -218,7 +244,7 @@ class DiscreteSpace:
             LinearOperator(shape, matvec=product, dtype=float),
             rhs,
             x0=x0,
-            rtol=_PCG_RTOL,
+            rtol=rtol,
             atol=0.0,
             maxiter=_PCG_MAX_ITERATIONS,
             M=LinearOperator(shape, matvec=precondition, dtype=float),
@@ -313,22 +339,10 @@ def _thomas_fermi_start(space, potential, beta):
     return space.project_fine(u, space.ops.M)
 
 
-def _evaluate(space, u, beta):
-    """One evaluation of the flow state u, returned as (N, l4, energy, w):
-    w = ``to_assembly(u)``, its density mass N = N(w) on the assembly mesh,
-    l4 = ||u||_L4^4 = w . (N w), and the energy.  At beta = 0, N and w are
-    None and no w is formed."""
-    if beta == 0.0:
-        return None, 0.0, space.energy_of(u, 0.0, beta), None
-    w = space.to_assembly(u)
-    N = space.nonlinear_matrix(w)
-    l4 = float(w @ (N @ w))
-    return N, l4, space.energy_of(u, l4, beta), w
-
-
 def _preconditioner_matrix(space, H, N, u, beta):
-    """H + beta N~(u), the matrix a flow from u factors once.  N~ is the
-    start's density mass N when it is in space coordinates (P1 spaces);
+    """H + beta N~(u), the matrix a flow from u factors once (H = M/tau + A),
+    and so do Newton steps from u (H = A - lambda M, 3 beta for beta).  N~ is
+    the start's density mass N when it is in space coordinates (P1 spaces);
     an LOD N lives on the fine mesh, so N~ is the coarse density mass of
     ``pre_space``.  At beta = 0 it is H itself."""
     if beta == 0.0:
@@ -344,73 +358,198 @@ def _preconditioner_matrix(space, H, N, u, beta):
 
 
 @dataclass
-class _FlowRun:
-    """Outcome of one flow: the last completed state u, its assembly-mesh
-    coefficients w, density mass N, ||u||_L4^4 and energy, and its record."""
+class _State:
+    """A state u and what its evaluation (``_evaluate``) formed; r is its
+    stationarity residual, of norm ``residual`` (``stationarity_residual``)."""
 
     u: np.ndarray
-    w: np.ndarray
+    w: object
     N: object
     l4: float
     energy: float
-    history: list
-    inner: list
-    converged: bool = False
-    failure: str = ""  # set when an inner PCG solve failed
+    eigenvalue: float
+    r: np.ndarray
+    residual: float
+    scale: float
+
+    @property
+    def relative(self):
+        return self.residual / self.scale
 
 
-def _flow(space, u, beta, params):
-    """Flow steps in ``space`` from the unit-mass coefficients u until
-    |dE|/tau < tol_energy, max_steps, or a failed inner PCG solve.  The
+def _evaluate(space, u, beta):
+    """The one evaluation of the state u: w = ``to_assembly(u)``, its
+    density mass N = N(w) on the assembly mesh, l4 = ||u||_L4^4 = w . (N w),
+    the energy, the eigenvalue and the stationarity residual.  At
+    beta = 0, N and w are None and no w is formed."""
+    w = N = None
+    l4 = 0.0
+    if beta != 0.0:
+        w = space.to_assembly(u)
+        N = space.nonlinear_matrix(w)
+        l4 = float(w @ (N @ w))
+    energy = space.energy_of(u, l4, beta)
+    eigenvalue = eigenvalue_from_state(energy, l4, beta)
+    residual = stationarity_residual(space, u, eigenvalue, beta, w, N)
+    return _State(u, w, N, l4, energy, eigenvalue, *residual)
+
+
+@dataclass
+class _Run:
+    """The last accepted state of a minimization in one space and its
+    record: the energy of every state, the PCG iterations of every step
+    (for a Newton step, those of its two solves together), the Newton
+    steps among them, and the failure of an inner PCG solve."""
+
+    state: _State
+    history: list = field(init=False)
+    inner: list = field(default_factory=list)
+    newton_steps: int = 0
+    failure: str = ""
+
+    def __post_init__(self):
+        self.history = [self.state.energy]
+
+    def accept(self, state, iterations):
+        self.state = state
+        self.history.append(state.energy)
+        self.inner.append(iterations)
+
+
+def _flow(space, run, beta, params, rtol=None):
+    """Flow steps in ``space`` from the run's state until its relative
+    stationarity residual is at most ``rtol`` (checked before the first
+    step too) or, with ``rtol`` None, until |dE|/tau < tol_energy; or until
+    the run holds max_steps steps, or an inner PCG solve fails.  The
     preconditioner, a factorization of M/tau + A + beta N~(u)
-    (``_preconditioner_matrix``), is made once here from the start u; the
-    shifted matrix is dropped as soon as it is factored.  Each step's PCG
-    starts from the previous step's u~, and each state is evaluated once
-    (``_evaluate``)."""
+    (``_preconditioner_matrix``), is made once here from the start u, and
+    freed on return; the shifted matrix is dropped as soon as it is
+    factored.  Each step's PCG starts from the previous step's u~."""
     tau = params.tau
-    # the factored matrix holds the start's density, so the start is
-    # evaluated first; the fine harmonic solve peaks at 167 MB, as it did
-    # with the factor of M/tau + A alone
-    N, l4, E, w = _evaluate(space, u, beta)
+    state = run.state
+    if (rtol is not None and state.relative <= rtol) or len(run.inner) >= params.max_steps:
+        return
     H = space.M / tau + space.A
-    precondition = spd_solver(_preconditioner_matrix(space, H, N, u, beta), space.ops.ordering)
-    run = _FlowRun(u, w, N, l4, E, [E], [])
+    precondition = spd_solver(
+        _preconditioner_matrix(space, H, state.N, state.u, beta), space.ops.ordering
+    )
     u_tilde = None
-    for step in range(1, params.max_steps + 1):
-        rhs = (space.M @ u) / tau
+    while len(run.inner) < params.max_steps:
+        rhs = (space.M @ state.u) / tau
         u_tilde, iterations, info = space.solve_shifted(
-            H, precondition, N, beta, rhs, x0=u_tilde
+            H, precondition, state.N, beta, rhs, x0=u_tilde
         )
         if info != 0:
             run.failure = (
-                f"inner PCG solve failed at step {step} after {iterations} "
+                f"inner PCG solve failed at step {len(run.inner) + 1} after {iterations} "
                 f"iterations (cg info {info})"
             )
-            break
-        run.inner.append(iterations)
-        u = u_tilde / space.mass_norm(u_tilde)
-        N, l4, E_new, w = _evaluate(space, u, beta)
-        run.history.append(E_new)
-        run.converged = abs(E_new - E) / tau < params.tol_energy
-        run.u, run.w, run.N, run.l4, run.energy, E = u, w, N, l4, E_new, E_new
-        if run.converged:
-            break
-    return run
+            return
+        energy = state.energy
+        state = _evaluate(space, u_tilde / space.mass_norm(u_tilde), beta)
+        run.accept(state, iterations)
+        if rtol is None:
+            done = abs(state.energy - energy) / tau < params.tol_energy
+        else:
+            done = state.relative <= rtol
+        if done:
+            return
+
+
+def _newton(space, run, beta, params):
+    """Newton steps on F(u, lambda) = [(A + beta N(u)) u - lambda M u;
+    (1 - u^T M u) / 2] from the run's state, until its relative
+    stationarity residual is at most ``_RESIDUAL_RTOL`` or the run holds
+    max_steps steps.
+
+    A step eliminates the bordered Jacobian's block
+    J0 = A + 3 beta N(u) - lambda M: x = J0^{-1} F_1, y = J0^{-1} (M u),
+    d_lambda = (F_2 + (M u)^T x) / ((M u)^T y), and u becomes the
+    normalized u - x + d_lambda y; lambda is the new state's own
+    eigenvalue.  Both solves are ``solve_shifted`` with H = A - lambda M
+    (``_shifted``) and the density term 3 beta N(u), preconditioned by one
+    factorization of ``_preconditioner_matrix(space, A - lambda M, N, u,
+    3 beta)`` at the first state: the exact J0 in a P1 space.  Each PCG stops as soon as
+    its error cannot spoil the target (never tighter than ``_PCG_RTOL``),
+    the forcing term of an inexact Newton method.  Returns False, for flow
+    steps to take over, when that factorization is rejected, a PCG solve
+    fails, or a step does not lower the residual (the step is dropped).
+    """
+    state = run.state
+    if state.relative <= _RESIDUAL_RTOL or len(run.inner) >= params.max_steps:
+        return True
+    try:
+        precondition = spd_solver(
+            _preconditioner_matrix(
+                space, space.A - state.eigenvalue * space.M, state.N, state.u, 3.0 * beta
+            ),
+            space.ops.ordering,
+        )
+    except SingularMatrixError:
+        return False
+    while state.relative > _RESIDUAL_RTOL and len(run.inner) < params.max_steps:
+        H = _shifted(space, state.eigenvalue)
+        Mu = space.M @ state.u
+        # a solve's error, at most rtol times its rhs, adds about rtol times
+        # this residual to the next one: keep that a tenth of the target
+        rtol = max(_PCG_RTOL, 0.1 * _RESIDUAL_RTOL / state.relative)
+        x, iterations_x, info_x = space.solve_shifted(
+            H, precondition, state.N, 3.0 * beta, state.r, rtol=rtol
+        )
+        y, iterations_y, info_y = space.solve_shifted(
+            H, precondition, state.N, 3.0 * beta, Mu, rtol=rtol
+        )
+        if info_x != 0 or info_y != 0:
+            return False
+        d_lambda = (0.5 * (1.0 - state.u @ Mu) + Mu @ x) / (Mu @ y)
+        u = state.u - x + d_lambda * y
+        new = _evaluate(space, u / space.mass_norm(u), beta)
+        if not new.relative < state.relative:
+            return False
+        state = new
+        run.accept(state, iterations_x + iterations_y)
+        run.newton_steps += 1
+    return True
+
+
+def _shifted(space, eigenvalue):
+    """A - lambda M as an operator, applied as A v - lambda (M v).  Each
+    Newton step has a new lambda, and forming the matrix at every step
+    raised the fine harmonic solve's peak memory by a few MB (glibc
+    placement of the freed and new matrices)."""
+    A, M = space.A, space.M
+    return LinearOperator(A.shape, matvec=lambda v: A @ v - eigenvalue * (M @ v), dtype=float)
+
+
+def _solve(space, run, beta, params):
+    """The exact phase: flow steps to the relative residual
+    ``_NEWTON_SWITCH_RTOL``, then Newton steps to ``_RESIDUAL_RTOL``, and
+    flow steps to that target if Newton falls back.  At beta = 0, J0 =
+    A - lambda M is singular at the ground state, so the flow runs to the
+    target alone."""
+    if beta == 0.0:
+        _flow(space, run, beta, params, _RESIDUAL_RTOL)
+        return
+    _flow(space, run, beta, params, _NEWTON_SWITCH_RTOL)
+    if not run.failure and not _newton(space, run, beta, params):
+        _flow(space, run, beta, params, _RESIDUAL_RTOL)
 
 
 def minimize(space, potential, beta, params=None, start=None):
-    """Normalized gradient flow on the unit L2 sphere of the space.
+    """Ground state on the unit L2 sphere of the space: normalized gradient
+    flow steps, finished by Newton steps.
 
     With no ``start``, the flow begins from the Thomas-Fermi profile; if
     the space has a ``pre_space`` (an LOD space), the flow in ``pre_space``
-    (the coarse-density flow) runs first and the exact flow continues from
-    its coefficients; both stop on the same tolerance.  A ``start`` given
-    as a coefficient vector in space coordinates runs the exact flow alone.
+    (the coarse-density flow) runs first, until |dE|/tau < tol_energy, and
+    the exact phase continues from its coefficients.  A ``start`` given as
+    a coefficient vector in space coordinates runs the exact phase alone.
+    The exact phase (``_solve``) stops when the relative stationarity
+    residual ||(A + beta N(u)) u - lambda M u|| / ||(A + beta N(u)) u|| is
+    at most ``_RESIDUAL_RTOL``; that is ``converged``.
 
-    Returns a GroundState, whose stationarity residual comes from the
-    density mass the flow already holds (``stationarity_residual``).
-    Non-convergence within max_steps, or an inner PCG solve that misses its
-    residual target within its iteration cap, is reported via
+    Not reaching it within max_steps steps, or an inner PCG solve that
+    misses its residual target within its iteration cap, is reported via
     ``converged=False`` and ``message`` rather than an exception.  On a PCG
     failure the state is the last completed step's, and in a two-phase flow
     the message names the phase.
@@ -432,34 +571,39 @@ def minimize(space, potential, beta, params=None, start=None):
     pre, pre_seconds = None, 0.0
     if space.pre_space is not None and start is None:
         t0 = time.perf_counter()
-        pre = _flow(space.pre_space, u, beta, params)
+        pre = _Run(_evaluate(space.pre_space, u, beta))
+        _flow(space.pre_space, pre, beta, params)
         pre_seconds = time.perf_counter() - t0
-        u = pre.u
+        u = pre.state.u
+    # only the run refers to its state, so each N is freed once it moves on
+    run = _Run(_evaluate(space, u, beta))
     if pre is not None and pre.failure:
-        N, l4, E, w = _evaluate(space, u, beta)
-        run = _FlowRun(u, w, N, l4, E, [E], [], failure=f"coarse-density phase: {pre.failure}")
+        run.failure = f"coarse-density phase: {pre.failure}"
     else:
-        run = _flow(space, u, beta, params)
+        _solve(space, run, beta, params)
         if pre is not None and run.failure:
             run.failure = f"exact phase: {run.failure}"
+    state = run.state
+    converged = not run.failure and state.relative <= _RESIDUAL_RTOL
     message = run.failure
-    if not run.converged and not message:
-        message = f"no convergence in {params.max_steps} steps"
-    u, E = run.u, run.energy
-    eigenvalue = eigenvalue_from_state(E, run.l4, beta)
-    residual, scale = stationarity_residual(space, u, eigenvalue, beta, run.w, run.N)
+    if not converged and not message:
+        message = (
+            f"no convergence in {params.max_steps} steps: relative stationarity "
+            f"residual {state.relative:.2e} above {_RESIDUAL_RTOL:g}"
+        )
     pre_inner = [] if pre is None else pre.inner
     return GroundState(
-        coeffs=u,
-        fine_coeffs=space.to_fine(u),
-        energy=E,
-        eigenvalue=eigenvalue,
+        coeffs=state.u,
+        fine_coeffs=space.to_fine(state.u),
+        energy=state.energy,
+        eigenvalue=state.eigenvalue,
         steps_taken=len(run.inner),
+        newton_steps=run.newton_steps,
         energy_history=np.asarray(run.history),
         inner_iterations=np.asarray(run.inner, dtype=int),
-        converged=run.converged,
-        residual=residual,
-        residual_scale=scale,
+        converged=converged,
+        residual=state.residual,
+        residual_scale=state.scale,
         message=message,
         pre_steps=len(pre_inner),
         pre_inner_iterations=np.asarray(pre_inner, dtype=int),
@@ -477,13 +621,14 @@ def sign_align(state, reference_fine, M_fine):
 
 
 def stationarity_residual(space, u, eigenvalue, beta, w, N):
-    """Euclidean norm of (A + beta N(u)) u - lambda M u and its scale, from
-    the assembly-mesh coefficients w and density mass N that the state's
-    evaluation formed (``_evaluate``; None at beta = 0).  The density term
-    is R^T (N w), one solve with A in an LOD space."""
+    """The residual r = (A + beta N(u)) u - lambda M u, its Euclidean norm,
+    and the norm of (A + beta N(u)) u, its scale, from the assembly-mesh
+    coefficients w and density mass N that the state's evaluation formed
+    (``_evaluate``; None at beta = 0).  The density term is R^T (N w), one
+    solve with A in an LOD space."""
     lhs = space.A @ u
     if beta != 0.0:
         Nw = N @ w
         lhs = lhs + beta * (Nw if space.rep_assembly is None else space.rep_assembly.T @ Nw)
-    residual = lhs - eigenvalue * (space.M @ u)
-    return float(np.linalg.norm(residual)), float(np.linalg.norm(lhs))
+    r = lhs - eigenvalue * (space.M @ u)
+    return r, float(np.linalg.norm(r)), float(np.linalg.norm(lhs))

@@ -112,13 +112,17 @@ def spd_solver(H, ordering=None):
     """Solve callable ``rhs -> H^{-1} rhs`` for a symmetric positive definite H.
 
     A sparse H gets its ``Factorization`` in ``ordering``; a dense H gets a
-    dense Cholesky factorization and ``ordering`` is unused.  The dense
-    factorization rejects a non-finite H once; each solve then checks only
-    its rhs (ValueError on an inf or NaN), not the m x m factor again.
+    dense Cholesky factorization and ``ordering`` is unused.  Either raises
+    ``SingularMatrixError`` for an H that is not positive definite.  The
+    dense factorization rejects a non-finite H once; each solve then checks
+    only its rhs (ValueError on an inf or NaN), not the m x m factor again.
     """
     if sparse.issparse(H):
         return Factorization(H, ordering).solve
-    factor = dense_linalg.cho_factor(H)
+    try:
+        factor = dense_linalg.cho_factor(H)
+    except dense_linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
     return lambda rhs: dense_linalg.cho_solve(
         factor, np.asarray_chkfinite(rhs), check_finite=False
     )

@@ -258,12 +258,13 @@ def saddle_correctors(hierarchy, ops, constraint):
     return B, 0.5 * (A_lod + A_lod.T), 0.5 * (M_lod + M_lod.T)
 
 
-def direct_shifted_matrix(space, c, beta, tau):
+def direct_shifted_matrix(space, c, beta, tau, B=None):
     """M/tau + A + beta N(u) formed explicitly: the sparse sum for P1 spaces,
-    the dense matrix with the symmetrized projection B^T N B for LOD spaces."""
+    the dense matrix with the symmetrized projection B^T N B for LOD spaces
+    (B = ``basis_columns`` of the space's basis unless given)."""
     N = assemble_density_mass(space.ops, space.to_assembly(c))
     if space.rep_assembly is not None:
-        B = basis_columns(space.rep_assembly)
+        B = basis_columns(space.rep_assembly) if B is None else B
         G = B.T @ (N @ B)
         N = 0.5 * (G + G.T)
     return space.M / tau + space.A + beta * N
@@ -283,26 +284,29 @@ def _direct_energy(space, u, beta):
     return 0.5 * float(u @ (space.A @ u)) + 0.25 * beta * l4, l4
 
 
-def direct_minimize(space, beta, params, start):
+def direct_minimize(space, beta, params, start, steps=None):
     """Reference normalized gradient flow that forms and directly solves
     every shifted system (``direct_shifted_matrix``).
 
-    Same start, steps and stopping test as ``minimize`` from a vector
-    start; returns (coefficients, energy, eigenvalue, steps).
+    Same start and steps as the flow of ``minimize`` from a vector start,
+    stopped by |dE|/tau < tol_energy within max_steps, or, given ``steps``,
+    after exactly that many steps; returns (coefficients, energy,
+    eigenvalue, steps).
     """
     tau = params.tau
+    B = None if space.rep_assembly is None else basis_columns(space.rep_assembly)
     u = start / space.mass_norm(start)
     E, l4 = _direct_energy(space, u, beta)
-    for steps in range(1, params.max_steps + 1):
-        H = direct_shifted_matrix(space, u, beta, tau)
+    for taken in range(1, (steps or params.max_steps) + 1):
+        H = direct_shifted_matrix(space, u, beta, tau, B)
         u_tilde = direct_solve(H, (space.M @ u) / tau)
         u = u_tilde / space.mass_norm(u_tilde)
         E_new, l4 = _direct_energy(space, u, beta)
-        done = abs(E_new - E) / tau < params.tol_energy
+        done = steps is None and abs(E_new - E) / tau < params.tol_energy
         E = E_new
         if done:
             break
-    return u, E, eigenvalue_from_state(E, l4, beta), steps
+    return u, E, eigenvalue_from_state(E, l4, beta), taken
 
 
 def coarse_element_adjacency(coarse):

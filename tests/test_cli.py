@@ -132,9 +132,25 @@ def test_solve_records_residual_and_inner_iterations(tmp_path, capsys):
     assert code == 0
     res = json.loads((tmp_path / "solve_manifest.json").read_text())["results"]
     assert res["converged"]
-    assert res["residual"] <= 1e-6 * res["residual_scale"]
+    assert res["residual"] <= 1e-10 * res["residual_scale"]
     assert len(res["inner_iterations"]) == res["iterations"]
+    assert 0 < res["newton_steps"] < res["iterations"]
     assert min(res["inner_iterations"]) >= 1
+    assert re.search(rf"^newton steps: {res['newton_steps']}$", capsys.readouterr().out, re.M)
+
+
+def test_cold_checkerboard_solve_reaches_the_residual_target(tmp_path, capsys):
+    # checkerboard_reduced's LOD space (H = 1/2, m = 529) over a coarser fine
+    # mesh; a stop on |dE|/tau alone ended this solve at a relative
+    # residual of 4.7e-6
+    code = main(
+        ["solve", "--config", "checkerboard_reduced", "--out", str(tmp_path), "--no-cache",
+         "solve.cells=96"]
+    )
+    assert code == 0
+    res = json.loads((tmp_path / "solve_manifest.json").read_text())["results"]
+    assert res["converged"] and res["pre_iterations"] > 0 and res["newton_steps"] > 0
+    assert res["residual"] <= 1e-10 * res["residual_scale"]
     capsys.readouterr()
 
 
@@ -402,7 +418,7 @@ def test_manifests_record_peak_rss(tmp_path, capsys):
     }
     expected = {
         "solve": common | {"results"},
-        "study": common | {"reference", "invalid", "workers"},
+        "study": common | {"reference", "rows", "baseline_rows", "invalid", "workers"},
         "correctors": common,
     }
     for name, keys in expected.items():
@@ -414,12 +430,21 @@ def test_manifests_record_peak_rss(tmp_path, capsys):
         assert isinstance(peak, float) and peak > 0
     solve = json.loads((tmp_path / "solve_manifest.json").read_text())
     assert set(solve["results"]) == {
-        "energy", "eigenvalue", "iterations", "inner_iterations", "flow_s",
+        "energy", "eigenvalue", "iterations", "newton_steps", "inner_iterations", "flow_s",
         "pre_iterations", "pre_inner_iterations", "pre_flow_s", "converged",
         "residual", "residual_scale",
     }
     study = json.loads((tmp_path / "study_manifest.json").read_text())
-    assert set(study["reference"]) == {"energy", "eigenvalue", "n_dofs", "steps", "inner_iterations"}
+    assert set(study["reference"]) == {
+        "energy", "eigenvalue", "n_dofs", "steps", "newton_steps", "inner_iterations",
+        "residual", "residual_scale",
+    }
+    # every reported state carries its residual, at most the solves' target
+    rows = study["rows"] + study["baseline_rows"]
+    assert study["rows"] and study["baseline_rows"]  # the smoke preset runs both
+    assert all(set(row) == {"H", "steps", "newton_steps", "residual", "residual_scale"} for row in rows)
+    for record in [solve["results"], study["reference"]] + rows:
+        assert record["residual"] <= 1e-10 * record["residual_scale"]
     capsys.readouterr()
 
 

@@ -191,6 +191,16 @@ def test_row_failure_isolated(monkeypatch):
     assert all(rate is None for rate in result.fitted_rates.values())
 
 
+def test_rows_above_the_residual_target_fail():
+    # two steps leave every row above the relative stationarity residual
+    # 1e-10: each is flagged failed, and its message names the residual
+    result = run_study(_smoke_config(flow=FlowParams(max_steps=2), baseline_coarse_fem=True))
+    for row in result.rows + result.baseline_rows:
+        assert row.failed and row.iterations == 2
+        assert row.residual > 1e-10 * row.residual_scale
+        assert "relative stationarity residual" in row.message
+
+
 def test_baseline_rows():
     result = run_study(_smoke_config(baseline_coarse_fem=True))
     assert len(result.baseline_rows) == 2

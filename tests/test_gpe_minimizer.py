@@ -1,4 +1,6 @@
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from gplod.gpe_minimizer import (
 )
 from gplod.lod_space import build_constraint, compute_correctors
 from gplod.mesh import Rect, build_hierarchy, same_mesh_hierarchy, uniform_mesh
-from gplod.sparse_linalg import Factorization, spd_solver
+from gplod.sparse_linalg import Factorization, SingularMatrixError, spd_solver
 
 from helpers import (
     direct_minimize,
@@ -220,7 +222,9 @@ def test_warm_started_pcg_takes_fewer_iterations(trap_domain):
     space = fine_space(assemble_operators(mesh, V))
     warm = minimize(space, V, 100.0)
     cold_solve = space.solve_shifted
-    space.solve_shifted = lambda H, pc, N, beta, rhs, x0=None: cold_solve(H, pc, N, beta, rhs)
+    space.solve_shifted = lambda H, pc, N, beta, rhs, x0=None, **kw: cold_solve(
+        H, pc, N, beta, rhs, **kw
+    )
     cold = minimize(space, V, 100.0)
     assert warm.converged and cold.converged
     assert warm.steps_taken == cold.steps_taken > 2
@@ -271,7 +275,7 @@ def test_energy_of_matches_fem_core_energy(unit_domain, rng, beta):
     ):
         c = rng.random(ops.n_dofs)
         expected = energy(ops, c, beta)
-        assert abs(_evaluate(space, c, beta)[2] - expected) <= 1e-13 * abs(expected)
+        assert abs(_evaluate(space, c, beta).energy - expected) <= 1e-13 * abs(expected)
 
 
 def test_project_fine_matches_direct_formulas(
@@ -322,18 +326,36 @@ def test_solve_shifted_matches_direct_solve(trap_spaces, kind, rng):
 
 @pytest.mark.parametrize("kind", ["lod", "fine"])
 def test_minimize_matches_direct_flow(trap_spaces, kind):
-    # a vector start: the projected Thomas-Fermi profile, exact flow only
+    # a vector start: the projected Thomas-Fermi profile, exact flow only;
+    # after four steps the residual is still above the switch to Newton steps
     V, spaces = trap_spaces
     space = spaces[kind]
     start = _thomas_fermi_start(space, V, 100.0)
-    state = minimize(space, V, 100.0, start=start)
-    _, E, lam, steps = direct_minimize(space, 100.0, FlowParams(), start)
-    assert state.converged
-    assert state.steps_taken == steps
+    state = minimize(space, V, 100.0, FlowParams(max_steps=4), start=start)
+    _, E, lam, steps = direct_minimize(space, 100.0, FlowParams(), start, steps=4)
+    assert not state.converged and state.newton_steps == 0
+    assert state.residual > gpe_minimizer._NEWTON_SWITCH_RTOL * state.residual_scale
+    assert state.steps_taken == steps == 4
     assert abs(state.energy - E) <= 1e-12 * abs(E)
     assert abs(state.eigenvalue - lam) <= 1e-12 * abs(lam)
     assert len(state.inner_iterations) == steps
     assert state.inner_iterations.min() >= 1
+
+
+@pytest.mark.parametrize("kind", ["lod", "fine"])
+def test_newton_finish_matches_a_long_flow(trap_spaces, kind):
+    # the state Newton steps end at is the one the flow tends to: 200
+    # direct flow steps contract its residual by about 0.6^200
+    V, spaces = trap_spaces
+    space = spaces[kind]
+    start = _thomas_fermi_start(space, V, 100.0)
+    state = minimize(space, V, 100.0, start=start)
+    _, E, lam, _ = direct_minimize(space, 100.0, FlowParams(), start, steps=200)
+    assert state.converged and state.newton_steps > 0
+    assert state.residual <= gpe_minimizer._RESIDUAL_RTOL * state.residual_scale
+    assert len(state.inner_iterations) == state.steps_taken > state.newton_steps
+    assert abs(state.energy - E) <= 1e-10 * abs(E)
+    assert abs(state.eigenvalue - lam) <= 1e-11 * abs(lam)
 
 
 def test_exact_flow_takes_each_state_to_the_fine_mesh_once(trap_spaces, monkeypatch):
@@ -367,18 +389,22 @@ def test_lod_nonlinear_matrix_is_the_projected_product(trap_spaces, rng):
 
 
 def test_preconditioner_factored_once_per_flow(trap_spaces, monkeypatch):
+    # one factorization for the flow, one for the Newton steps, and the
+    # flow's is freed before the Newton matrix is factored
     V, spaces = trap_spaces
     ops = spaces["fine"].ops
-    calls = []
+    factors = []
 
     def counting(A, ordering):
-        calls.append(A.shape)
-        return Factorization(A, ordering)
+        assert all(alive() is None for alive in factors)
+        factor = Factorization(A, ordering)
+        factors.append(weakref.ref(factor))
+        return factor
 
     monkeypatch.setattr(sparse_linalg, "Factorization", counting)
     state = minimize(fine_space(ops), V, 100.0)
-    assert state.converged and state.steps_taken > 1
-    assert calls == [(ops.n_dofs, ops.n_dofs)]
+    assert state.converged and state.steps_taken > state.newton_steps > 0
+    assert len(factors) == 2
 
 
 @pytest.mark.parametrize("kind", ["fine", "coarse"])
@@ -412,9 +438,9 @@ def test_coarse_density_preconditioner_cuts_exact_lod_iterations(trap_spaces):
 
 @pytest.mark.parametrize("kind", ["fine", "lod"])
 def test_residual_comes_from_the_last_evaluation(trap_spaces, kind, monkeypatch):
-    # one density assembly per state (plus, in LOD, the preconditioner's
-    # coarse density), and the residual makes no assembly of its own; in
-    # LOD its only solve with A is B^T (N w)
+    # one density assembly per state (plus, in LOD, the coarse density of
+    # each of the two preconditioners), and each state's residual makes no
+    # assembly of its own; in LOD its only solve with A is B^T (N w)
     V, spaces = trap_spaces
     space = spaces[kind]
     start = _thomas_fermi_start(space, V, 100.0)
@@ -438,10 +464,11 @@ def test_residual_comes_from_the_last_evaluation(trap_spaces, kind, monkeypatch)
 
     monkeypatch.setattr(gpe_minimizer, "stationarity_residual", counting)
     state = minimize(space, V, 100.0, start=start)
-    assert state.converged and state.steps_taken > 1
-    assert sum(m is space.ops.mesh for m in meshes) == state.steps_taken + 1
-    assert len(meshes) == state.steps_taken + 1 + (kind == "lod")
-    assert residual_solves == [(1 if kind == "lod" else 0, 0)]
+    assert state.converged and state.steps_taken > state.newton_steps > 0
+    states = state.steps_taken + 1
+    assert sum(m is space.ops.mesh for m in meshes) == states
+    assert len(meshes) == states + 2 * (kind == "lod")
+    assert residual_solves == [(1 if kind == "lod" else 0, 0)] * states
     # the same residual as one formed from scratch
     u = state.coeffs
     lhs = space.A @ u + 100.0 * space.density_product(
@@ -451,7 +478,7 @@ def test_residual_comes_from_the_last_evaluation(trap_spaces, kind, monkeypatch)
     scale = np.linalg.norm(lhs)
     assert abs(state.residual_scale - scale) <= 1e-13 * scale
     assert abs(state.residual - expected) <= 1e-13 * scale
-    assert state.residual <= 1e-5 * scale
+    assert state.residual <= gpe_minimizer._RESIDUAL_RTOL * scale
 
 
 def test_inner_solve_failure_reported(trap_domain, trap_spaces, monkeypatch):
@@ -459,7 +486,7 @@ def test_inner_solve_failure_reported(trap_domain, trap_spaces, monkeypatch):
     V, spaces = trap_spaces
     lod = spaces["lod"]
     with monkeypatch.context() as patch:
-        patch.setattr(lod, "solve_shifted", lambda H, pc, N, beta, rhs, x0=None: (rhs, 1, 1))
+        patch.setattr(lod, "solve_shifted", lambda H, pc, N, beta, rhs, **kw: (rhs, 1, 1))
         state = minimize(lod, V, 100.0)
     assert not state.converged
     assert state.message.startswith("exact phase: inner PCG solve failed at step 1 after 1")
@@ -482,6 +509,50 @@ def test_inner_solve_failure_reported(trap_domain, trap_spaces, monkeypatch):
     assert state.message.startswith("coarse-density phase: inner PCG solve failed at step 1")
     assert state.steps_taken == 0 and state.pre_steps == 0
     assert len(state.inner_iterations) == 0 and state.energy_history.size == 1
+
+
+@pytest.mark.parametrize("kind", ["fine", "lod"])
+@pytest.mark.parametrize("fault", ["factorization", "pcg", "step"])
+def test_newton_falls_back_to_flow_steps(trap_spaces, kind, fault, monkeypatch):
+    # Newton's factorization rejected, a failed Newton PCG solve, or a
+    # Newton step that raises the residual: flow steps finish the solve
+    V, spaces = trap_spaces
+    space = spaces[kind]
+    beta = 100.0
+    expected = minimize(space, V, beta)
+    if fault == "factorization":
+        def rejecting(H, ordering=None):
+            if sys._getframe(1).f_code.co_name == "_newton":
+                raise SingularMatrixError("rejected by the test")
+            return spd_solver(H, ordering)
+
+        monkeypatch.setattr(gpe_minimizer, "spd_solver", rejecting)
+    else:
+        solve = space.solve_shifted
+
+        def faulty(H, pc, N, b, rhs, x0=None, **kw):
+            if b != 3.0 * beta:
+                return solve(H, pc, N, b, rhs, x0, **kw)
+            return (rhs, 1, 1) if fault == "pcg" else (100.0 * rhs, 1, 0)
+
+        monkeypatch.setattr(space, "solve_shifted", faulty)
+    state = minimize(space, V, beta)
+    assert expected.newton_steps > 0
+    assert state.converged and state.newton_steps == 0
+    assert state.steps_taken > expected.steps_taken
+    assert state.residual <= gpe_minimizer._RESIDUAL_RTOL * state.residual_scale
+    assert abs(state.energy - expected.energy) <= 1e-12 * abs(expected.energy)
+    assert abs(state.eigenvalue - expected.eigenvalue) <= 1e-9 * abs(expected.eigenvalue)
+
+
+@pytest.mark.parametrize("kind", ["fine", "lod"])
+def test_beta_zero_solve_reaches_the_target_without_newton(trap_spaces, kind):
+    # J0 = A - lambda M is singular at a linear ground state: the flow alone
+    # runs to the residual target
+    V, spaces = trap_spaces
+    state = minimize(spaces[kind], V, 0.0)
+    assert state.converged and state.newton_steps == 0 and state.steps_taken > 1
+    assert state.residual <= gpe_minimizer._RESIDUAL_RTOL * state.residual_scale
 
 
 def _two_level_matches_exact_flow(space, V, beta):
@@ -529,7 +600,7 @@ def test_coarse_density_space_sees_the_coarse_projection(
     assert coarse.ops.mesh is small_hierarchy.coarse
     assert coarse.A is space.A and coarse.M is space.M
     expected = l4_norm4(coarse.ops.mesh, coarse.ops.expand(d), coarse.ops.quad)
-    assert abs(_evaluate(coarse, c, 1.0)[1] - expected) <= 1e-12 * expected
+    assert abs(_evaluate(coarse, c, 1.0).l4 - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("kind", ["fine", "coarse", "lod"])
@@ -540,7 +611,7 @@ def test_l4_of_a_state_is_its_density_mass_product(trap_spaces, kind, rng):
     c = rng.random(space.n_dofs)
     w = space.to_assembly(c)
     expected = l4_norm4(space.ops.mesh, space.ops.expand(w), space.ops.quad)
-    assert abs(_evaluate(space, c, 1.0)[1] - expected) <= 1e-14 * expected
+    assert abs(_evaluate(space, c, 1.0).l4 - expected) <= 1e-14 * expected
 
 
 def test_flow_makes_no_l4_norm4_call(trap_spaces, monkeypatch):

@@ -108,6 +108,14 @@ def test_dense_solver_matches_cho_solve(rng):
         assert np.array_equal(x, dense_linalg.cho_solve(factor, rhs))
 
 
+def test_dense_solver_rejects_indefinite():
+    # the dense path raises the sparse path's error, chained from scipy's
+    H = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(SingularMatrixError, match="not positive definite") as info:
+        spd_solver(H)
+    assert isinstance(info.value.__cause__, dense_linalg.LinAlgError)
+
+
 def test_dense_solver_rejects_non_finite(rng):
     G = rng.standard_normal((20, 20))
     H = G @ G.T + 20 * np.eye(20)
