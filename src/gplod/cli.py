@@ -27,9 +27,9 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .convergence_study import StudyConfig, hierarchy_space, run_study, write_csv, write_gnuplot
+from .convergence_study import StudyConfig, run_study, write_csv, write_gnuplot
 from .fem_core import Potential, assemble_operators
-from .gpe_minimizer import FlowParams, fine_space, minimize
+from .gpe_minimizer import FlowParams, coarse_fem_space, fine_space, lod_discrete_space, minimize
 from .lod_space import cache_path, lod_space_cached
 from .mesh import Rect, build_hierarchy, export_mesh, refinement_count, uniform_mesh
 
@@ -262,9 +262,12 @@ def cmd_solve(args, resolved):
     fine_ops = assemble_operators(mesh, potential)
     if space_kind == "fine_fem":
         space = fine_space(fine_ops)
+    elif space_kind == "coarse_fem":
+        space = coarse_fem_space(hierarchy, fine_ops)
     else:
         cache_dir = _cache_dir_from(resolved, args.out, not args.no_cache)
-        space, hit = hierarchy_space(space_kind, hierarchy, fine_ops, cache_dir)
+        lod, hit = lod_space_cached(hierarchy, fine_ops, cache_dir=cache_dir)
+        space = lod_discrete_space(lod, fine_ops)
 
     t0 = time.perf_counter()
     state = minimize(space, potential, beta, flow)
@@ -381,7 +384,7 @@ def cmd_correctors(args, resolved):
     hits = misses = 0
     outputs = []
     for H in cfg.H_sequence:
-        hierarchy = build_hierarchy(cfg.domain, cfg.coarse_cells(H), cfg.refinements(H))
+        hierarchy = cfg.hierarchy(H)
         t0 = time.perf_counter()
         space, hit = lod_space_cached(hierarchy, ops, cache_dir=cfg.cache_dir)
         wall = time.perf_counter() - t0

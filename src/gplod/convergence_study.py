@@ -4,19 +4,18 @@ A study minimizes once on the fine reference mesh, then for each coarse
 resolution H builds the (ideal) LOD space over the same fine mesh,
 minimizes there from the projected reference, and tabulates H1, L2,
 energy, and eigenvalue errors relative to the reference with
-least-squares convergence rates.  An optional plain-P1 baseline runs the
-same pipeline on the coarse P1 spaces, Galerkin restrictions of the
-reference operators; only the reference mesh is assembled.  Once the
-reference exists the rows are independent, and ``run_study`` runs them,
-and the reference itself, on one thread per CPU.
+least-squares convergence rates.  The coarse meshes of a study coarsen
+one another, so its LOD spaces are nested: only the finest H's correctors
+are built, and the coarser spaces are derived from them.  An optional
+plain-P1 baseline runs the same pipeline on the coarse P1 spaces, Galerkin
+restrictions of the reference operators; only the reference mesh is
+assembled.  ``run_study`` runs the work on one thread per CPU.
 """
 
 import os
-import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,14 +29,13 @@ from .gpe_minimizer import (
     minimize,
     sign_align,
 )
-from .lod_space import lod_space_cached
+from .lod_space import lod_space_cached, nested_lod_space
 from .mesh import build_hierarchy, refinement_count, uniform_mesh
 
 __all__ = [
     "StudyConfig",
     "StudyRow",
     "StudyResult",
-    "hierarchy_space",
     "run_study",
     "fit_rate",
     "write_csv",
@@ -46,8 +44,6 @@ __all__ = [
 
 ERROR_COLUMNS = ("h1", "l2", "energy", "eigenvalue")
 
-# a converged reference must satisfy the discrete eigenproblem this tightly
-_REFERENCE_RESIDUAL_RTOL = 1e-6
 # rows whose error is within this factor of the reference's own estimated
 # discretization error get a saturation warning
 _SATURATION_FACTOR = 10.0
@@ -75,6 +71,10 @@ class StudyConfig:
 
     def refinements(self, H):
         return refinement_count(self.coarse_cells(H), self.reference_cells)
+
+    def hierarchy(self, H):
+        """The coarse mesh of H over the reference mesh."""
+        return build_hierarchy(self.domain, self.coarse_cells(H), self.refinements(H))
 
     def validate(self):
         if self.beta < 0:
@@ -254,20 +254,6 @@ def _apply_saturation_warnings(rows, estimate):
                 )
 
 
-def hierarchy_space(kind, hierarchy, ops_fine, cache_dir):
-    """The ``"lod"`` or ``"coarse_fem"`` space of a hierarchy whose fine-mesh
-    operators are ``ops_fine``, and its corrector-cache lookup: True (hit)
-    or False (miss) for LOD correctors, which come from
-    ``lod_space_cached(..., cache_dir)``, None for a coarse P1 space.
-    """
-    if kind == "lod":
-        lod, hit = lod_space_cached(hierarchy, ops_fine, cache_dir=cache_dir)
-        return lod_discrete_space(lod, ops_fine), hit
-    if kind == "coarse_fem":
-        return coarse_fem_space(hierarchy, ops_fine), None
-    raise ValueError(f"unknown space {kind!r}")
-
-
 def _worker_count():
     """Threads a study runs on: one per CPU the process may run on, or per
     CPU of the machine where the platform has no affinity call."""
@@ -275,53 +261,49 @@ def _worker_count():
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-class _Stopwatch:
-    """Context manager that sums the seconds spent inside it."""
-
-    def __init__(self):
-        self.elapsed = 0.0
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-
-    def __exit__(self, *exc_info):
-        self.elapsed += time.perf_counter() - self._t0
+def _finest_lod_space(config, ops_fine):
+    """The study's one corrector build: the LOD space of its finest H from
+    ``lod_space_cached``, the cache lookup, and the build's seconds."""
+    t0 = time.perf_counter()
+    hierarchy = config.hierarchy(min(config.H_sequence))
+    lod, hit = lod_space_cached(hierarchy, ops_fine, cache_dir=config.cache_dir)
+    return lod, hit, time.perf_counter() - t0
 
 
-def _space_row(config, kind, H, ops_fine, reference, build_lock):
-    """One row: minimize in the ``kind`` space (``hierarchy_space``) of H,
-    warm started from the projected reference, and tabulate its errors
-    against the reference.
+def _space_row(config, kind, H, ops_fine, reference, finest):
+    """One row: minimize in the ``"lod"`` or ``"coarse_fem"`` space of H,
+    warm started from the projected reference, and tabulate its errors.
 
-    The space is built first, an LOD one under ``build_lock`` (one corrector
-    build at a time); then the row waits for the future ``reference``
-    (``(state, ref)`` of ``_compute_reference``).  ``wall_time_s`` counts the
-    row's own work, not these two waits.  Returns the row and its cache
-    lookup (None if none completed).  A failure is recorded in the row, not
-    raised.
+    The row waits for the future ``reference`` (``_compute_reference``) and,
+    an LOD row, for ``finest`` (``_finest_lod_space``): it takes that space at
+    the finest H and derives its own from it elsewhere (``nested_lod_space``).
+    ``wall_time_s`` is the row's work after these waits, the finest row's
+    build included.  A failure, the build's too, is recorded, not raised.
     """
     row = StudyRow(H=H)
-    lookup = None
-    clock = _Stopwatch()
+    start = None
     try:
-        with clock:
-            hierarchy = build_hierarchy(
-                config.domain, config.coarse_cells(H), config.refinements(H)
-            )
-        with build_lock if kind == "lod" else nullcontext(), clock:
-            space, lookup = hierarchy_space(kind, hierarchy, ops_fine, config.cache_dir)
-        row.cache_hit = bool(lookup)
         ref_state, ref = reference.result()
-        with clock:
-            c0 = space.project_fine(ref_state.fine_coeffs, ops_fine.M)
-            state = minimize(space, config.potential, config.beta, config.flow, start=c0)
-            state = sign_align(state, ref_state.fine_coeffs, ops_fine.M)
-            _error_row(row, state, ref_state.fine_coeffs, ref, ops_fine)
+        if kind == "lod":
+            lod, row.cache_hit, build_s = finest.result()
+        start = time.perf_counter()
+        if kind == "coarse_fem":
+            space = coarse_fem_space(config.hierarchy(H), ops_fine)
+        else:
+            if lod.hierarchy.coarse.cells_per_side == config.coarse_cells(H):
+                start -= build_s  # the finest row's work includes the build
+            else:
+                lod = nested_lod_space(lod, config.hierarchy(H), ops_fine.M)
+            space = lod_discrete_space(lod, ops_fine)
+        c0 = space.project_fine(ref_state.fine_coeffs, ops_fine.M)
+        state = minimize(space, config.potential, config.beta, config.flow, start=c0)
+        state = sign_align(state, ref_state.fine_coeffs, ops_fine.M)
+        _error_row(row, state, ref_state.fine_coeffs, ref, ops_fine)
     except Exception as exc:
         row.failed = True
         row.message = f"{type(exc).__name__}: {exc}"
-    row.wall_time_s = clock.elapsed
-    return row, lookup
+    row.wall_time_s = 0.0 if start is None else time.perf_counter() - start
+    return row
 
 
 def _row_line(row, label):
@@ -340,12 +322,11 @@ def run_study(config, log=None):
 
     Once the reference operators are assembled, the work runs on one thread
     per CPU (``_worker_count``), submitted in the order of a sequential run:
-    the reference flow, one task per LOD row, the saturation estimate and
-    one task per baseline row.  A row task builds its space and waits for
-    the reference; LOD rows take one lock for their corrector builds and
-    are submitted finest H first, so at most one build is in memory.
-    ``log`` is called from this thread only, in the order of a sequential
-    run, and the result does not depend on the number of threads.
+    the reference flow, the corrector build of the finest H (shared by every
+    LOD row), one task per LOD row, the saturation estimate and one task per
+    baseline row.  A task waits only for tasks submitted before it.  ``log``
+    is called from this thread only, in the order of a sequential run, and
+    the result does not depend on the number of threads.
     """
     log = log or (lambda msg: None)
     config.validate()
@@ -353,19 +334,17 @@ def run_study(config, log=None):
         uniform_mesh(config.domain, config.reference_cells), config.potential
     )
     workers = _worker_count()
-    build_lock = threading.Lock()
     reference_lines, saturation_lines = [], []
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         reference = pool.submit(_compute_reference, config, ops_fine, reference_lines.append)
+        finest = pool.submit(_finest_lod_space, config, ops_fine)
 
         def submit(kind, H):
-            return pool.submit(_space_row, config, kind, H, ops_fine, reference, build_lock)
+            return pool.submit(_space_row, config, kind, H, ops_fine, reference, finest)
 
         Hs = config.H_sequence
-        lod_futures = [None] * len(Hs)  # in the order of Hs, submitted finest first
-        for i in sorted(range(len(Hs)), key=lambda i: Hs[i]):
-            lod_futures[i] = submit("lod", Hs[i])
+        lod_futures = [submit("lod", H) for H in Hs]
         saturation = None
         if config.saturation_check:
             saturation = pool.submit(
@@ -376,28 +355,19 @@ def run_study(config, log=None):
         baseline = config.baseline_coarse_fem
         baseline_futures = [submit("coarse_fem", H) for H in Hs] if baseline else []
 
-        _, ref = reference.result()
+        ref_state, ref = reference.result()
         for line in reference_lines:
             log(line)
-        invalid = False
-        message = ""
-        if ref["residual"] > _REFERENCE_RESIDUAL_RTOL * ref["residual_scale"]:
-            invalid = True
-            message = (
-                f"reference stationarity residual {ref['residual'] / ref['residual_scale']:.3e} "
-                f"exceeds {_REFERENCE_RESIDUAL_RTOL:g}"
-            )
+        invalid = not ref_state.converged
+        message = f"reference: {ref_state.message}" if invalid else ""
+        if invalid:
             log(f"WARNING: {message}")
-
-        lookups = []
 
         def collect(futures, label=""):
             rows = []
             for future in futures:
-                row, lookup = future.result()
-                log(_row_line(row, label))
-                rows.append(row)
-                lookups.append(lookup)
+                rows.append(future.result())
+                log(_row_line(rows[-1], label))
             return rows
 
         rows = collect(lod_futures)
@@ -409,6 +379,7 @@ def run_study(config, log=None):
         rates = _fit_all(rows)
         baseline_rows = collect(baseline_futures, label="baseline ")
         baseline_rates = _fit_all(baseline_rows) if baseline else {}
+        hit = None if finest.exception() else finest.result()[1]  # the one cache lookup
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -421,8 +392,8 @@ def run_study(config, log=None):
         baseline_rates=baseline_rates,
         invalid=invalid,
         message=message,
-        cache_hits=lookups.count(True),
-        cache_misses=lookups.count(False),
+        cache_hits=int(hit is True),
+        cache_misses=int(hit is False),
         workers=workers,
     )
 

@@ -41,6 +41,7 @@ __all__ = [
     "LodSpace",
     "build_constraint",
     "compute_correctors",
+    "nested_lod_space",
     "plod_project",
     "cache_key",
     "cache_path",
@@ -182,12 +183,37 @@ def compute_correctors(hierarchy, ops_fine, constraint):
     for lo, hi in chunks:  # M Y one chunk at a time, never n x m at once
         G[:, lo:hi] = Y.T @ (ops_fine.M @ Y[:, lo:hi])
     del Y
-    W = spd_solver(_symmetrize(S))(constraint.coarse_mass.toarray())  # S^{-1} M_H
-    A_lod = _symmetrize(constraint.coarse_mass @ W)
-    M_lod = _symmetrize(W.T @ _symmetrize(G) @ W)
+    W, A_lod, M_lod = _closing_step(S, G, constraint.coarse_mass)
     timings["solve_s"] = time.perf_counter() - t0
     basis = CorrectorBasis(factor, C, W)
     return LodSpace(hierarchy, basis, A_lod, M_lod, ops_fine.potential.descriptor(), timings)
+
+
+def _closing_step(S, G, coarse_mass):
+    """W = S^{-1} M_H, A_lod = M_H W and M_lod = W^T G W (S = C Y, G = Y^T M Y)."""
+    W = spd_solver(_symmetrize(S))(coarse_mass.toarray())
+    A_lod = _symmetrize(coarse_mass @ W)
+    M_lod = _symmetrize(W.T @ _symmetrize(G) @ W)
+    return W, A_lod, M_lod
+
+
+def nested_lod_space(space, hierarchy, M):
+    """The LOD space of ``hierarchy``, whose coarse mesh coarsens that of
+    ``space`` over the same fine mesh (``M``: the interior fine mass).
+
+    The spaces are nested: this is the construction above one level up, with
+    A_lod and M_lod of ``space`` as A and M and E^T = (C P)^T as C (P the
+    interior prolongation of ``hierarchy``), so no fine solve is made.  The
+    basis applies through the factorization of A that ``space`` holds.
+    """
+    if space.hierarchy.coarse.cells_per_side % hierarchy.coarse.cells_per_side:
+        raise ValueError("hierarchy does not coarsen the space's coarse mesh")
+    constraint = build_constraint(hierarchy, M)
+    E = (space.basis.C @ hierarchy.prolongation_interior()).toarray()
+    Y = spd_solver(space.A_lod)(E)
+    W, A_lod, M_lod = _closing_step(E.T @ Y, Y.T @ space.M_lod @ Y, constraint.coarse_mass)
+    basis = CorrectorBasis(space.basis.factor, constraint.C, W)
+    return LodSpace(hierarchy, basis, A_lod, M_lod, space.potential_descriptor)
 
 
 def plod_project(space, ops_fine, v_fine):

@@ -309,6 +309,25 @@ def test_solve_reads_study_cache_dir(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_study_reads_the_finest_correctors_that_correctors_cached(tmp_path, capsys, monkeypatch):
+    # `correctors` builds every H; a study then loads the finest H's file,
+    # one hit, and derives the coarser space from it with no build
+    from gplod import lod_space
+
+    code = main(["correctors", "--config", "smoke", "--out", str(tmp_path)])
+    assert code == 0
+
+    def no_build(*args):
+        raise AssertionError("compute_correctors called")
+
+    monkeypatch.setattr(lod_space, "compute_correctors", no_build)
+    code = main(["study", "--config", "smoke", "--out", str(tmp_path)])
+    assert code == 0
+    manifest = json.loads((tmp_path / "study_manifest.json").read_text())
+    assert manifest["cache"] == {"hits": 1, "misses": 0}
+    capsys.readouterr()
+
+
 def test_study_bad_config_exit_code(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("[domain]\nxmin=0\nxmax=1\nymin=0\nymax=1\n")
@@ -453,7 +472,7 @@ def test_study_no_cache_creates_no_correctors_dir(tmp_path, capsys):
     assert code == 0
     assert not (tmp_path / "correctors").exists()
     manifest = json.loads((tmp_path / "study_manifest.json").read_text())
-    assert manifest["cache"] == {"hits": 0, "misses": 2}
+    assert manifest["cache"] == {"hits": 0, "misses": 1}
     assert manifest["reference"]["inner_iterations"] >= manifest["reference"]["steps"]
 
 

@@ -95,8 +95,10 @@ def test_study_determinism_with_cache(tmp_path):
     first = run_study(cfg1)
     cfg2 = _smoke_config(cache_dir=tmp_path / "c")
     second = run_study(cfg2)
-    assert first.cache_misses == len(first.rows) and first.cache_hits == 0
-    assert second.cache_hits == len(second.rows) and second.cache_misses == 0
+    # a study looks up only its finest H's correctors
+    assert (first.cache_hits, first.cache_misses) == (0, 1)
+    assert (second.cache_hits, second.cache_misses) == (1, 0)
+    assert len(list((tmp_path / "c").glob("correctors_*.npz"))) == 1
     for a, b in zip(first.rows, second.rows):
         for col, value in a.errors().items():
             assert abs(value - b.errors()[col]) <= 1e-12
@@ -105,8 +107,7 @@ def test_study_determinism_with_cache(tmp_path):
 def test_study_without_cache_dir_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     result = run_study(_smoke_config(cache_dir=None))
-    assert result.cache_hits == 0
-    assert result.cache_misses == len(result.rows)
+    assert (result.cache_hits, result.cache_misses) == (0, 1)
     assert not list(tmp_path.rglob("correctors_*.npz"))
 
 
@@ -174,21 +175,96 @@ def test_saturation_estimate_live():
 
 
 def test_row_failure_isolated(monkeypatch):
-    # a failing row is reported but does not abort the remaining rows
+    # a failing row is reported but does not abort the remaining rows: the
+    # fault is in deriving the coarser row's space from the finest one
     import gplod.convergence_study as study_mod
 
-    original = study_mod.lod_space_cached
+    original = study_mod.nested_lod_space
 
-    def flaky(hierarchy, ops, **kwargs):
+    def flaky(space, hierarchy, M):
         if hierarchy.coarse.cells_per_side == 4:
             raise RuntimeError("synthetic corrector failure")
-        return original(hierarchy, ops, **kwargs)
+        return original(space, hierarchy, M)
 
-    monkeypatch.setattr(study_mod, "lod_space_cached", flaky)
+    monkeypatch.setattr(study_mod, "nested_lod_space", flaky)
     result = run_study(_smoke_config())
     assert result.rows[0].failed and "synthetic" in result.rows[0].message
     assert not result.rows[1].failed
     assert all(rate is None for rate in result.fitted_rates.values())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_build_fails_every_lod_row_alone(monkeypatch, workers):
+    # the one corrector build of a study raises: every LOD row is failed
+    # with its message, the baseline rows still run, and the study returns
+    import gplod.convergence_study as study_mod
+
+    def failing(hierarchy, ops, **kwargs):
+        raise RuntimeError("synthetic build failure")
+
+    monkeypatch.setattr(study_mod, "_worker_count", lambda: workers)
+    monkeypatch.setattr(study_mod, "lod_space_cached", failing)
+    result = run_study(_smoke_config(baseline_coarse_fem=True))
+    assert not result.invalid
+    assert [r.message for r in result.rows] == ["RuntimeError: synthetic build failure"] * 2
+    assert all(r.failed for r in result.rows)
+    assert all(not r.failed for r in result.baseline_rows)
+    assert all(rate is not None for rate in result.baseline_rates.values())
+    assert (result.cache_hits, result.cache_misses) == (0, 0)
+
+
+def test_one_corrector_build_and_factorization_for_every_lod_row(monkeypatch):
+    # three H: the finest is built, the two coarser spaces are derived from
+    # it, and every row's basis applies B through the same factor of A
+    import gplod.convergence_study as study_mod
+    import gplod.lod_space as lod_mod
+
+    builds, factors, bases = [], [], []
+    compute_correctors = lod_mod.compute_correctors
+    factorization = lod_mod.Factorization
+
+    def counted_build(hierarchy, ops, constraint):
+        builds.append(hierarchy.coarse.cells_per_side)
+        return compute_correctors(hierarchy, ops, constraint)
+
+    def counted_factor(A, ordering):
+        factors.append(A.shape)
+        return factorization(A, ordering)
+
+    lod_discrete_space = study_mod.lod_discrete_space
+
+    def recorded(lod, ops):
+        bases.append((lod.hierarchy.coarse.cells_per_side, lod.basis))
+        return lod_discrete_space(lod, ops)
+
+    monkeypatch.setattr(lod_mod, "compute_correctors", counted_build)
+    monkeypatch.setattr(lod_mod, "Factorization", counted_factor)
+    monkeypatch.setattr(study_mod, "lod_discrete_space", recorded)
+    result = run_study(_smoke_config(H_sequence=[0.5, 0.25, 0.125]))
+    assert all(not r.failed for r in result.rows)
+    assert builds == [8] and len(factors) == 1
+    assert sorted(cells for cells, _ in bases) == [2, 4, 8]
+    assert len({id(basis.factor) for _, basis in bases}) == 1
+    assert [basis.shape[1] for _, basis in sorted(bases, key=lambda b: b[0])] == [1, 9, 49]
+
+
+def test_finest_row_wall_time_includes_the_build(monkeypatch):
+    # the finest row pays for the one corrector build; the coarser rows,
+    # which wait for it, do not
+    import time
+
+    import gplod.lod_space as lod_mod
+
+    compute_correctors = lod_mod.compute_correctors
+
+    def slow_build(hierarchy, ops, constraint):
+        time.sleep(1.5)
+        return compute_correctors(hierarchy, ops, constraint)
+
+    monkeypatch.setattr(lod_mod, "compute_correctors", slow_build)
+    result = run_study(_smoke_config())
+    coarse, finest = result.rows
+    assert finest.wall_time_s >= 1.5 and coarse.wall_time_s < 1.5
 
 
 def test_rows_above_the_residual_target_fail():
@@ -273,9 +349,30 @@ def test_study_result_does_not_depend_on_the_worker_count(monkeypatch):
 
     sequential = run(1)
     assert any(row["warnings"] for row in sequential[0])  # saturation warnings compared
-    assert sequential[4][2:] == (0, 2)
+    assert sequential[4][2:] == (0, 1)
     assert run(2) == sequential
     assert run(4) == sequential
+
+
+def test_reference_above_the_residual_target_makes_the_study_invalid(monkeypatch):
+    # a reference that stops at relative residual 1e-8 has not converged
+    # (the solve's target is 1e-10): the study is invalid, with its message
+    import gplod.convergence_study as study_mod
+
+    compute_reference = study_mod._compute_reference
+    message = "no convergence: relative stationarity residual 1.00e-08 above 1e-10"
+
+    def stopped_early(config, ops, log):
+        state, ref = compute_reference(config, ops, log)
+        residual = 1e-8 * state.residual_scale
+        state = dataclasses.replace(state, residual=residual, converged=False, message=message)
+        return state, {**ref, "residual": residual, "converged": False}
+
+    monkeypatch.setattr(study_mod, "_compute_reference", stopped_early)
+    lines = []
+    result = run_study(_smoke_config(), log=lines.append)
+    assert result.invalid and result.message == f"reference: {message}"
+    assert f"WARNING: {result.message}" in lines
 
 
 def test_reference_failure_raises(monkeypatch):

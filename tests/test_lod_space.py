@@ -9,6 +9,7 @@ from gplod.lod_space import (
     compute_correctors,
     load_basis,
     lod_space_cached,
+    nested_lod_space,
     plod_project,
     save_basis,
 )
@@ -184,6 +185,36 @@ def test_basis_operator_matches_dense_oracle(
     ]
     for got, ref in pairs:
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("potential", [Potential.harmonic(), Potential.checkerboard(0.5)])
+def test_nested_spaces_match_direct_builds(potential, trap_domain, rng):
+    # fine 48 cells, coarse 12 built; coarse 6 and 3 derived from it (one and
+    # two levels of nesting) and 3 also from the derived 6, each against the
+    # direct build of its own correctors
+    def hierarchy(cells):
+        return build_hierarchy(trap_domain, cells, (48 // cells).bit_length() - 1)
+
+    ops = assemble_operators(uniform_mesh(trap_domain, 48), potential)
+    built, _ = lod_space_cached(hierarchy(12), ops)
+    six = nested_lod_space(built, hierarchy(6), ops.M)
+    derived = [six, nested_lod_space(built, hierarchy(3), ops.M)]
+    derived.append(nested_lod_space(six, hierarchy(3), ops.M))
+    for space in derived:
+        h = space.hierarchy
+        direct = compute_correctors(h, ops, build_constraint(h, ops.M))
+        assert space.basis.factor is built.basis.factor
+        c, v = rng.standard_normal(h.coarse.n_interior), rng.standard_normal(ops.n_dofs)
+        pairs = [
+            (space.A_lod, direct.A_lod),
+            (space.M_lod, direct.M_lod),
+            (space.basis @ c, direct.basis @ c),
+            (space.basis.T @ v, direct.basis.T @ v),
+        ]
+        for got, ref in pairs:
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    with pytest.raises(ValueError, match="coarsen"):
+        nested_lod_space(six, hierarchy(12), ops.M)
 
 
 def test_no_n_by_m_array_outlives_the_build(tmp_path, small_lod, small_hierarchy):
