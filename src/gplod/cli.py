@@ -30,7 +30,7 @@ from . import __version__
 from .convergence_study import StudyConfig, run_study, write_csv, write_gnuplot
 from .fem_core import Potential, assemble_operators
 from .gpe_minimizer import FlowParams, coarse_fem_space, fine_space, lod_discrete_space, minimize
-from .lod_space import cache_path, lod_space_cached
+from .lod_space import cache_path, lod_space_cached, nested_lod_space, save_basis
 from .mesh import Rect, build_hierarchy, export_mesh, refinement_count, uniform_mesh
 
 USAGE_ERROR = 1
@@ -377,33 +377,41 @@ def cmd_study(args, resolved):
 
 
 def cmd_correctors(args, resolved):
+    """Build or load the LOD space of the finest H of ``study.h_sequence``,
+    derive each coarser H's from it (``nested_lod_space``) and cache every
+    H's file, so a study or an LOD solve at any of these H finds it."""
     cfg = study_config_from(resolved, args.out, use_cache=not args.no_cache)
 
     mesh = uniform_mesh(cfg.domain, cfg.reference_cells)
     ops = assemble_operators(mesh, cfg.potential)
-    hits = misses = 0
+    finest = hit = None
     outputs = []
-    for H in cfg.H_sequence:
+    records = []
+    for H in sorted(cfg.H_sequence):
         hierarchy = cfg.hierarchy(H)
         t0 = time.perf_counter()
-        space, hit = lod_space_cached(hierarchy, ops, cache_dir=cfg.cache_dir)
-        wall = time.perf_counter() - t0
-        hits += hit
-        misses += not hit
+        if finest is None:
+            finest, hit = lod_space_cached(hierarchy, ops, cache_dir=cfg.cache_dir)
+            space, source = finest, "cache hit" if hit else "built"
+        else:
+            space, source = nested_lod_space(finest, hierarchy, ops.M), "derived"
         if cfg.cache_dir:
             outputs.append(cache_path(cfg.cache_dir, hierarchy, space.potential_descriptor))
-        if hit:
-            detail = "cache hit"
-        else:
-            detail = (
-                f"factor {space.timings.get('factor_s', 0.0):.2f}s, "
-                f"solves {space.timings.get('solve_s', 0.0):.2f}s"
-            )
-        print(f"H={H:g}: {hierarchy.coarse.n_interior} correctors, {detail}, {wall:.2f}s total")
+            if source == "derived":
+                save_basis(space, outputs[-1])
+        wall = time.perf_counter() - t0
+        records.append({"H": H, "source": source, "seconds": wall, "timings": space.timings})
+        stages = ", ".join(
+            f"{key[:-2]} {value:.2f}s" if key.endswith("_s") else f"{key} {value}"
+            for key, value in space.timings.items()
+        )
+        m = hierarchy.coarse.n_interior
+        print(f"H={H:g}: {m} correctors, {source} ({stages}), {wall:.2f}s total")
     if cfg.cache_dir:
-        print(f"cache dir: {cfg.cache_dir} ({hits} hits, {misses} misses)")
+        print(f"cache dir: {cfg.cache_dir} ({int(hit)} hits, {int(not hit)} misses)")
 
-    return 0, outputs, {"cache": {"hits": hits, "misses": misses}}
+    extra = {"cache": {"hits": int(hit), "misses": int(not hit)}, "correctors": records}
+    return 0, outputs, extra
 
 
 def build_parser():

@@ -252,24 +252,27 @@ def test_study_manifest_reproducibility(tmp_path, capsys):
 
 
 def test_correctors_cache_cycle(tmp_path, capsys):
+    # one lookup per run, of the finest H; the coarser H is derived from it
     code = main(["correctors", "--config", "smoke", "--out", str(tmp_path)])
     assert code == 0
     manifest = json.loads((tmp_path / "correctors_manifest.json").read_text())
-    assert manifest["cache"] == {"hits": 0, "misses": 2}
+    assert manifest["cache"] == {"hits": 0, "misses": 1}
+    assert [r["source"] for r in manifest["correctors"]] == ["built", "derived"]
 
     code = main(["correctors", "--config", "smoke", "--out", str(tmp_path)])
     assert code == 0
     manifest = json.loads((tmp_path / "correctors_manifest.json").read_text())
-    assert manifest["cache"] == {"hits": 2, "misses": 0}
+    assert manifest["cache"] == {"hits": 1, "misses": 0}
     capsys.readouterr()
 
-    # corrupt one cache file: it is rebuilt with a warning, not an error
-    cache_files = sorted((tmp_path / "correctors").glob("correctors_*.npz"))
-    cache_files[0].write_bytes(cache_files[0].read_bytes()[:50])
-    code = main(["correctors", "--config", "smoke", "--out", str(tmp_path)])
+    # corrupt the finest H's file: it is rebuilt with a warning, not an error
+    finest = Path(manifest["outputs"][0])
+    finest.write_bytes(finest.read_bytes()[:50])
+    with pytest.warns(UserWarning, match="rebuilding correctors"):
+        code = main(["correctors", "--config", "smoke", "--out", str(tmp_path)])
     assert code == 0
     manifest = json.loads((tmp_path / "correctors_manifest.json").read_text())
-    assert manifest["cache"] == {"hits": 1, "misses": 1}
+    assert manifest["cache"] == {"hits": 0, "misses": 1}
 
 
 def test_correctors_manifest_lists_its_own_cache_files(tmp_path, capsys):
@@ -287,6 +290,33 @@ def test_correctors_manifest_lists_its_own_cache_files(tmp_path, capsys):
     manifest = json.loads((tmp_path / "2.0" / "correctors_manifest.json").read_text())
     assert len(manifest["outputs"]) == 1
     assert Path(manifest["outputs"][0]).exists()
+
+
+def test_correctors_builds_once_and_caches_every_h(tmp_path, capsys, monkeypatch):
+    # one build, of the finest H; the coarser H's file is derived and saved,
+    # so an LOD solve at the coarser H is a cache hit
+    from gplod import lod_space
+
+    built = []
+    build = lod_space.compute_correctors
+
+    def counted(hierarchy, *args):
+        built.append(hierarchy.coarse.cells_per_side)
+        return build(hierarchy, *args)
+
+    monkeypatch.setattr(lod_space, "compute_correctors", counted)
+    assert main(["correctors", "--config", "smoke", "--out", str(tmp_path)]) == 0
+    assert built == [8]
+    assert len(list((tmp_path / "correctors").glob("correctors_*.npz"))) == 2
+    code = main(
+        ["solve", "--config", "smoke", "--out", str(tmp_path), "solve.space=lod",
+         "solve.coarse_cells=4"]
+    )
+    assert code == 0
+    assert built == [8]
+    manifest = json.loads((tmp_path / "solve_manifest.json").read_text())
+    assert manifest["cache"] == {"hits": 1, "misses": 0}
+    capsys.readouterr()
 
 
 def test_solve_reads_study_cache_dir(tmp_path, capsys):
@@ -310,7 +340,7 @@ def test_solve_reads_study_cache_dir(tmp_path, capsys):
 
 
 def test_study_reads_the_finest_correctors_that_correctors_cached(tmp_path, capsys, monkeypatch):
-    # `correctors` builds every H; a study then loads the finest H's file,
+    # `correctors` caches every H; a study then loads the finest H's file,
     # one hit, and derives the coarser space from it with no build
     from gplod import lod_space
 
@@ -438,7 +468,7 @@ def test_manifests_record_peak_rss(tmp_path, capsys):
     expected = {
         "solve": common | {"results"},
         "study": common | {"reference", "rows", "baseline_rows", "invalid", "workers"},
-        "correctors": common,
+        "correctors": common | {"correctors"},
     }
     for name, keys in expected.items():
         assert main([name, "--config", "smoke", "--out", str(tmp_path)]) == 0

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gplod import lod_space
 from gplod.fem_core import Potential, assemble_density_mass, assemble_operators
 from gplod.lod_space import (
     CacheMismatchError,
@@ -217,6 +220,83 @@ def test_nested_spaces_match_direct_builds(potential, trap_domain, rng):
         nested_lod_space(six, hierarchy(12), ops.M)
 
 
+def _id_group_build(monkeypatch, hierarchy, ops):
+    """``compute_correctors`` with no grid map to test: the group {id}."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lod_space, "_grid_maps", lambda mesh: [])
+        return compute_correctors(hierarchy, ops, build_constraint(hierarchy, ops.M))
+
+
+@pytest.mark.parametrize("potential", [Potential.harmonic(), Potential.checkerboard(0.5)])
+def test_symmetric_build_matches_the_identity_group_build(potential, trap_domain, rng, monkeypatch):
+    # the presets' set-up on [-6, 6]^2 (fine 48, coarse 12 cells): one coarse
+    # dof per orbit is solved for, the rest copied, against solving for all
+    hierarchy = build_hierarchy(trap_domain, 12, 2)
+    ops = assemble_operators(hierarchy.fine, potential)
+    space = compute_correctors(hierarchy, ops, build_constraint(hierarchy, ops.M))
+    plain = _id_group_build(monkeypatch, hierarchy, ops)
+    assert (space.timings["group_order"], space.timings["representatives"]) == (4, 36)
+    assert (plain.timings["group_order"], plain.timings["representatives"]) == (1, 121)
+    c, v = rng.standard_normal(121), rng.standard_normal(ops.n_dofs)
+    pairs = [
+        (space.A_lod, plain.A_lod),
+        (space.M_lod, plain.M_lod),
+        (space.basis @ c, plain.basis @ c),
+        (space.basis.T @ v, plain.basis.T @ v),
+    ]
+    for got, ref in pairs:
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "domain, potential, kept",
+    [
+        (Rect(-6.0, 6.0, -6.0, 6.0), Potential.harmonic(), [0, 1, 2]),
+        (Rect(-6.0, 6.0, -6.0, 6.0), Potential.checkerboard(0.5), [0, 1, 2]),
+        (Rect(-5.0, 7.0, -5.0, 7.0), Potential.harmonic(), [0]),
+        (Rect(0.0, 2.0, 0.0, 1.0), Potential.constant(1.0), [1]),
+    ],
+)
+def test_symmetry_group_is_found(domain, potential, kept):
+    # candidates: transpose, rotation by 180 degrees, anti-transpose.  A trap
+    # off the centre of a square keeps only the transpose, and a non-square
+    # rectangle only the rotation
+    hierarchy = build_hierarchy(domain, 12, 2)
+    ops = assemble_operators(hierarchy.fine, potential)
+    group = lod_space._symmetry_group(hierarchy, ops, build_constraint(hierarchy, ops.M).C)
+    candidates = list(
+        zip(lod_space._grid_maps(hierarchy.fine), lod_space._grid_maps(hierarchy.coarse))
+    )
+    assert np.array_equal(group[0][0], np.arange(ops.n_dofs))
+    assert np.array_equal(group[0][1], np.arange(hierarchy.coarse.n_interior))
+    assert len(group) == 1 + len(kept)
+    for (p, q), k in zip(group[1:], kept):
+        assert np.array_equal(p, candidates[k][0]) and np.array_equal(q, candidates[k][1])
+
+
+def test_build_holds_no_n_by_m_array(monkeypatch, trap_domain):
+    # m = 121 coarse dofs over n = 2209 fine ones, in chunks of 16 columns:
+    # the build's traced peak above what the finished space holds stays below
+    # one dense n x m array, for the 36 representatives of the symmetric build
+    # and for all 121 of the group {id}
+    hierarchy = build_hierarchy(trap_domain, 12, 2)
+    ops = assemble_operators(hierarchy.fine, Potential.harmonic())
+    n, m = ops.n_dofs, hierarchy.coarse.n_interior
+    monkeypatch.setattr(lod_space, "_RHS_CHUNK", 16)
+    for build in (
+        lambda: compute_correctors(hierarchy, ops, build_constraint(hierarchy, ops.M)),
+        lambda: _id_group_build(monkeypatch, hierarchy, ops),
+    ):
+        tracemalloc.start()
+        try:
+            space = build()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < n * m * 8
+        assert space.timings["representatives"] > lod_space._RHS_CHUNK
+
+
 def test_no_n_by_m_array_outlives_the_build(tmp_path, small_lod, small_hierarchy):
     # the space, its basis operator and its cache file hold m x m matrices,
     # vectors and sparse factors, but no dense n x m array
@@ -362,6 +442,42 @@ def test_cache_old_format_rebuilt(tmp_path, small_hierarchy, small_ops, small_lo
     reloaded, hit = lod_space_cached(small_hierarchy, small_ops, cache_dir=tmp_path)
     assert hit
     assert np.array_equal(basis_columns(reloaded.basis), basis_columns(space.basis))
+
+
+def test_cache_file_with_swapped_columns_is_rebuilt(tmp_path, small_hierarchy, small_ops):
+    # a file whose header matches but whose W has two columns swapped fails
+    # the space's check on load and is rebuilt with a warning
+    space, _ = lod_space_cached(small_hierarchy, small_ops, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("correctors_*.npz")
+    space.basis.W[:, [0, 1]] = space.basis.W[:, [1, 0]]
+    save_basis(space, path)
+    with pytest.raises(CacheMismatchError, match="check"):
+        load_basis(path, small_hierarchy, small_ops)
+    with pytest.warns(UserWarning, match="rebuilding correctors"):
+        rebuilt, hit = lod_space_cached(small_hierarchy, small_ops, cache_dir=tmp_path)
+    assert not hit
+    assert rebuilt.timings["check_s"] > 0.0
+    assert load_basis(path, small_hierarchy, small_ops).timings["check_s"] > 0.0
+
+
+def test_every_space_is_checked(small_hierarchy, small_ops, monkeypatch):
+    # a wrong W in a build and in a derived space raises
+    finer = build_hierarchy(small_hierarchy.coarse.domain, 8, 1)
+    space = compute_correctors(finer, small_ops, build_constraint(finer, small_ops.M))
+    monkeypatch.setattr(lod_space, "_closing_step", _swap_first_columns(lod_space._closing_step))
+    with pytest.raises(ArithmeticError, match="check"):
+        compute_correctors(finer, small_ops, build_constraint(finer, small_ops.M))
+    with pytest.raises(ArithmeticError, match="check"):
+        nested_lod_space(space, small_hierarchy, small_ops.M)
+
+
+def _swap_first_columns(closing_step):
+    def swapped(*args):
+        W, A_lod, M_lod = closing_step(*args)
+        W[:, [0, 1]] = W[:, [1, 0]]
+        return W, A_lod, M_lod
+
+    return swapped
 
 
 def test_cache_failed_save_keeps_previous_file(
