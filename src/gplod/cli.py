@@ -42,7 +42,7 @@ _PRESETS = ("harmonic", "checkerboard", "checkerboard_reduced", "smoke")
 CONFIG_KEYS = {
     "domain": ("xmin", "xmax", "ymin", "ymax"),
     "potential": ("kind", "value", "square_side", "low", "high"),
-    "flow": ("tau", "tol_energy", "max_steps"),
+    "flow": ("tau", "max_steps"),
     "study": (
         "beta", "reference_cells", "h_sequence", "baseline_coarse_fem",
         "saturation_check", "cache_dir",
@@ -162,7 +162,6 @@ def _potential_from(resolved):
 def _flow_from(resolved):
     return FlowParams(
         tau=_get(resolved, "flow", "tau", default=0.5, cast=float),
-        tol_energy=_get(resolved, "flow", "tol_energy", default=1e-10, cast=float),
         max_steps=_get(resolved, "flow", "max_steps", default=10000, cast=int),
     )
 
@@ -277,6 +276,7 @@ def cmd_solve(args, resolved):
     print(f"eigenvalue: {_fmt12(state.eigenvalue)}")
     if state.pre_steps:
         print(f"coarse-density steps: {state.pre_steps} ({state.pre_seconds:.2f}s)")
+        print(f"coarse-density newton steps: {state.pre_newton_steps}")
     flow_s = wall - state.pre_seconds
     print(f"iterations: {state.steps_taken} ({flow_s:.2f}s), converged: {state.converged}")
     print(f"newton steps: {state.newton_steps}")
@@ -304,6 +304,7 @@ def cmd_solve(args, resolved):
             "inner_iterations": state.inner_iterations.tolist(),
             "flow_s": flow_s,
             "pre_iterations": state.pre_steps,
+            "pre_newton_steps": state.pre_newton_steps,
             "pre_inner_iterations": state.pre_inner_iterations.tolist(),
             "pre_flow_s": state.pre_seconds,
             "converged": state.converged,

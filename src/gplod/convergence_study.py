@@ -44,8 +44,8 @@ __all__ = [
 
 ERROR_COLUMNS = ("h1", "l2", "energy", "eigenvalue")
 
-# rows whose error is within this factor of the reference's own estimated
-# discretization error get a saturation warning
+# a row whose error against the reference is within this factor of the
+# reference's estimated continuum error does not resolve its continuum error
 _SATURATION_FACTOR = 10.0
 
 
@@ -249,8 +249,10 @@ def _apply_saturation_warnings(rows, estimate):
         for col in ERROR_COLUMNS:
             if row.errors()[col] < _SATURATION_FACTOR * estimate[col]:
                 row.warnings.append(
-                    f"{col} error within {_SATURATION_FACTOR:g}x of the estimated "
-                    f"reference discretization error {estimate[col]:.3e}"
+                    f"{col} error against the reference within {_SATURATION_FACTOR:g}x of the "
+                    f"reference's estimated error against the continuum ground state "
+                    f"({estimate[col]:.3e}), so this row does not resolve its error against "
+                    f"the continuum solution"
                 )
 
 

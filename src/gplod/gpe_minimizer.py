@@ -20,7 +20,7 @@ the step matrix with the density of the flow's start u_0.  In a P1 space
 N~ is that start's N itself, so the first step's PCG takes one iteration;
 the matrix fills the pattern of M, and its factor costs what that of
 M / tau + A does.  In an LOD space N~ is the sparse coarse density mass
-of P_H u_0 (the density of the coarse-density flow below), added to the
+of P_H u_0 (the density of the coarse-density phase below), added to the
 dense m x m matrix M / tau + A before its Cholesky factorization, so B is
 not applied to form it.
 
@@ -49,13 +49,13 @@ In an LOD space, a flow from the Thomas-Fermi profile (no ``start``)
 runs the two-level discretization of Henning, Malqvist and Peterseim
 (SIAM J. Numer. Anal. 2014) first.  Since C B = M_H,
 the L2 projection P_H of the LOD function B c onto coarse P1 is the coarse
-P1 function with the same coefficients c.  The coarse-density flow
+P1 function with the same coefficients c.  The coarse-density problem
 replaces |u|^2 in the density term by |P_H u|^2: its N is the sparse coarse
 density mass, so each of its steps uses only m x m matrices and never B.
-It stops when the energy decrease per unit pseudo-time falls below
-``tol_energy``, and the exact flow and Newton steps continue from its
-coefficients.  A start given as a coefficient vector (a warm start) runs
-the exact phase alone.
+It is solved like the exact problem, flow steps then Newton steps to the
+relative residual ``_RESIDUAL_RTOL``, and the exact phase continues from
+its coefficients.  A start given as a coefficient vector (a warm start)
+runs the exact phase alone.
 """
 
 import time
@@ -97,18 +97,14 @@ _RESIDUAL_RTOL = 1e-10
 
 @dataclass
 class FlowParams:
-    """Pseudo-time step, the coarse-density flow's stopping tolerance on
-    |dE|/tau, and the step limit of each phase of a solve."""
+    """Pseudo-time step and the step limit of each phase of a solve."""
 
     tau: float = 0.5
-    tol_energy: float = 1e-10
     max_steps: int = 10000
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.tol_energy <= 0:
-            raise ValueError("tol_energy must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -123,12 +119,13 @@ class GroundState:
     ``energy_history`` starts with the energy of the exact phase's start
     and adds one per step; ``inner_iterations`` holds the PCG iteration
     count of each completed step (for a Newton step, of its two solves
-    together).  The ``pre_`` fields record the flow in the space's
-    ``pre_space`` that ran before it (the coarse-density flow of an LOD
-    space from the Thomas-Fermi profile): its steps, their PCG counts and
-    its seconds.  ``residual`` and ``residual_scale`` are the Euclidean
-    norms of (A + beta N(u)) u - lambda M u and of (A + beta N(u)) u;
-    ``converged`` means that their ratio is at most ``_RESIDUAL_RTOL``.
+    together).  The ``pre_`` fields record the solve in the space's
+    ``pre_space`` that ran before it (the coarse-density phase of an LOD
+    space from the Thomas-Fermi profile): its flow and Newton steps, the
+    Newton steps among them, their PCG counts and its seconds.
+    ``residual`` and ``residual_scale`` are the Euclidean norms of
+    (A + beta N(u)) u - lambda M u and of (A + beta N(u)) u; ``converged``
+    means that their ratio is at most ``_RESIDUAL_RTOL``.
     """
 
     coeffs: np.ndarray
@@ -144,6 +141,7 @@ class GroundState:
     residual_scale: float
     message: str = ""
     pre_steps: int = 0
+    pre_newton_steps: int = 0
     pre_inner_iterations: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     pre_seconds: float = 0.0
 
@@ -416,18 +414,17 @@ class _Run:
         self.inner.append(iterations)
 
 
-def _flow(space, run, beta, params, rtol=None):
+def _flow(space, run, beta, params, rtol):
     """Flow steps in ``space`` from the run's state until its relative
     stationarity residual is at most ``rtol`` (checked before the first
-    step too) or, with ``rtol`` None, until |dE|/tau < tol_energy; or until
-    the run holds max_steps steps, or an inner PCG solve fails.  The
-    preconditioner, a factorization of M/tau + A + beta N~(u)
+    step too), the run holds max_steps steps, or an inner PCG solve fails.
+    The preconditioner, a factorization of M/tau + A + beta N~(u)
     (``_preconditioner_matrix``), is made once here from the start u, and
     freed on return; the shifted matrix is dropped as soon as it is
     factored.  Each step's PCG starts from the previous step's u~."""
     tau = params.tau
     state = run.state
-    if (rtol is not None and state.relative <= rtol) or len(run.inner) >= params.max_steps:
+    if state.relative <= rtol or len(run.inner) >= params.max_steps:
         return
     H = space.M / tau + space.A
     precondition = spd_solver(
@@ -445,14 +442,9 @@ def _flow(space, run, beta, params, rtol=None):
                 f"iterations (cg info {info})"
             )
             return
-        energy = state.energy
         state = _evaluate(space, u_tilde / space.mass_norm(u_tilde), beta)
         run.accept(state, iterations)
-        if rtol is None:
-            done = abs(state.energy - energy) / tau < params.tol_energy
-        else:
-            done = state.relative <= rtol
-        if done:
+        if state.relative <= rtol:
             return
 
 
@@ -522,7 +514,8 @@ def _shifted(space, eigenvalue):
 
 
 def _solve(space, run, beta, params):
-    """The exact phase: flow steps to the relative residual
+    """A solve in ``space`` (the exact phase, or the coarse-density phase
+    in a ``pre_space``): flow steps to the relative residual
     ``_NEWTON_SWITCH_RTOL``, then Newton steps to ``_RESIDUAL_RTOL``, and
     flow steps to that target if Newton falls back.  At beta = 0, J0 =
     A - lambda M is singular at the ground state, so the flow runs to the
@@ -540,13 +533,13 @@ def minimize(space, potential, beta, params=None, start=None):
     flow steps, finished by Newton steps.
 
     With no ``start``, the flow begins from the Thomas-Fermi profile; if
-    the space has a ``pre_space`` (an LOD space), the flow in ``pre_space``
-    (the coarse-density flow) runs first, until |dE|/tau < tol_energy, and
-    the exact phase continues from its coefficients.  A ``start`` given as
-    a coefficient vector in space coordinates runs the exact phase alone.
-    The exact phase (``_solve``) stops when the relative stationarity
-    residual ||(A + beta N(u)) u - lambda M u|| / ||(A + beta N(u)) u|| is
-    at most ``_RESIDUAL_RTOL``; that is ``converged``.
+    the space has a ``pre_space`` (an LOD space), the solve in
+    ``pre_space`` (the coarse-density phase) runs first, and the exact
+    phase continues from its coefficients.  A ``start`` given as a
+    coefficient vector in space coordinates runs the exact phase alone.
+    Each phase (``_solve``) stops when its relative stationarity residual
+    ||(A + beta N(u)) u - lambda M u|| / ||(A + beta N(u)) u|| is at most
+    ``_RESIDUAL_RTOL``; the exact phase's reaching it is ``converged``.
 
     Not reaching it within max_steps steps, or an inner PCG solve that
     misses its residual target within its iteration cap, is reported via
@@ -572,7 +565,7 @@ def minimize(space, potential, beta, params=None, start=None):
     if space.pre_space is not None and start is None:
         t0 = time.perf_counter()
         pre = _Run(_evaluate(space.pre_space, u, beta))
-        _flow(space.pre_space, pre, beta, params)
+        _solve(space.pre_space, pre, beta, params)
         pre_seconds = time.perf_counter() - t0
         u = pre.state.u
     # only the run refers to its state, so each N is freed once it moves on
@@ -606,6 +599,7 @@ def minimize(space, potential, beta, params=None, start=None):
         residual_scale=state.scale,
         message=message,
         pre_steps=len(pre_inner),
+        pre_newton_steps=0 if pre is None else pre.newton_steps,
         pre_inner_iterations=np.asarray(pre_inner, dtype=int),
         pre_seconds=pre_seconds,
     )

@@ -284,29 +284,24 @@ def _direct_energy(space, u, beta):
     return 0.5 * float(u @ (space.A @ u)) + 0.25 * beta * l4, l4
 
 
-def direct_minimize(space, beta, params, start, steps=None):
+def direct_minimize(space, beta, params, start, steps):
     """Reference normalized gradient flow that forms and directly solves
     every shifted system (``direct_shifted_matrix``).
 
     Same start and steps as the flow of ``minimize`` from a vector start,
-    stopped by |dE|/tau < tol_energy within max_steps, or, given ``steps``,
-    after exactly that many steps; returns (coefficients, energy,
+    stopped after exactly ``steps`` steps; returns (coefficients, energy,
     eigenvalue, steps).
     """
     tau = params.tau
     B = None if space.rep_assembly is None else basis_columns(space.rep_assembly)
     u = start / space.mass_norm(start)
     E, l4 = _direct_energy(space, u, beta)
-    for taken in range(1, (steps or params.max_steps) + 1):
+    for _ in range(steps):
         H = direct_shifted_matrix(space, u, beta, tau, B)
         u_tilde = direct_solve(H, (space.M @ u) / tau)
         u = u_tilde / space.mass_norm(u_tilde)
-        E_new, l4 = _direct_energy(space, u, beta)
-        done = steps is None and abs(E_new - E) / tau < params.tol_energy
-        E = E_new
-        if done:
-            break
-    return u, E, eigenvalue_from_state(E, l4, beta), taken
+        E, l4 = _direct_energy(space, u, beta)
+    return u, E, eigenvalue_from_state(E, l4, beta), steps
 
 
 def coarse_element_adjacency(coarse):

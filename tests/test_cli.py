@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import time
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gplod import gpe_minimizer
+from gplod import cli, gpe_minimizer
 from gplod.cli import (
     CONFIG_KEYS,
     USAGE_ERROR,
@@ -32,7 +33,6 @@ value = 0.0
 
 [flow]
 tau = 0.5
-tol_energy = 1e-10
 
 [solve]
 space = fine_fem
@@ -121,7 +121,6 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
             "solve.cells=16",
             "solve.beta=100",
             "flow.max_steps=2",
-            "flow.tol_energy=1e-15",
         ]
     )
     assert code == 2
@@ -161,11 +160,14 @@ def test_solve_manifest_records_both_flow_phases(tmp_path, capsys):
          "solve.space=lod", "solve.coarse_cells=8"]
     )
     assert code == 0
-    assert re.search(r"^coarse-density steps: \d+ ", capsys.readouterr().out, re.M)
+    out = capsys.readouterr().out
     res = json.loads((tmp_path / "solve_manifest.json").read_text())["results"]
+    assert re.search(rf"^coarse-density steps: {res['pre_iterations']} ", out, re.M)
+    assert re.search(rf"^coarse-density newton steps: {res['pre_newton_steps']}$", out, re.M)
     assert res["converged"] and res["iterations"] >= 1
     assert len(res["inner_iterations"]) == res["iterations"]
-    assert res["pre_iterations"] >= 1
+    # the coarse-density phase, too, ends with Newton steps
+    assert 0 < res["pre_newton_steps"] < res["pre_iterations"]
     assert len(res["pre_inner_iterations"]) == res["pre_iterations"]
     assert min(res["pre_inner_iterations"]) >= 1
     assert res["pre_flow_s"] > 0.0 and res["flow_s"] > 0.0
@@ -174,6 +176,7 @@ def test_solve_manifest_records_both_flow_phases(tmp_path, capsys):
     assert code == 0
     res = json.loads((tmp_path / "solve_manifest.json").read_text())["results"]
     assert res["pre_iterations"] == 0 and res["pre_inner_iterations"] == []
+    assert res["pre_newton_steps"] == 0
     assert res["pre_flow_s"] == 0.0
     assert "coarse-density" not in capsys.readouterr().out
 
@@ -429,7 +432,37 @@ def test_presets_load(preset):
     study_config_from(parse_config(text))
 
 
+def _keys_read_by_cli():
+    """(section, key) of every config read in ``cli.py``: the calls
+    ``_get(resolved, section, key, ...)`` and
+    ``resolved.get(section, {}).get(key, ...)``."""
+    read = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "_get":
+            read.add((node.args[1].value, node.args[2].value))
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr == "get"
+            and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "attr", None) == "get"
+        ):
+            read.add((func.value.args[0].value, node.args[0].value))
+    return read
+
+
 def test_config_keys_match_readme_schema():
+    # the config surface cannot drift: a removed key is rejected, README
+    # documents exactly CONFIG_KEYS, and cli.py reads every one of them
+    for text, overrides in (
+        (LAPLACE_CONFIG.replace("tau = 0.5", "tau = 0.5\ntol_energy = 1e-10"), ()),
+        (LAPLACE_CONFIG, ["flow.tol_energy=1e-10"]),
+    ):
+        with pytest.raises(ConfigError, match="unknown config key.*flow.tol_energy"):
+            parse_config(text, overrides)
+    assert _keys_read_by_cli() == {(s, k) for s, keys in CONFIG_KEYS.items() for k in keys}
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Config schema", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
     documented = {}
@@ -480,7 +513,7 @@ def test_manifests_record_peak_rss(tmp_path, capsys):
     solve = json.loads((tmp_path / "solve_manifest.json").read_text())
     assert set(solve["results"]) == {
         "energy", "eigenvalue", "iterations", "newton_steps", "inner_iterations", "flow_s",
-        "pre_iterations", "pre_inner_iterations", "pre_flow_s", "converged",
+        "pre_iterations", "pre_newton_steps", "pre_inner_iterations", "pre_flow_s", "converged",
         "residual", "residual_scale",
     }
     study = json.loads((tmp_path / "study_manifest.json").read_text())
